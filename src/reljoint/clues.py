@@ -135,15 +135,6 @@ class ClueSet:
     def su_clue(self, rel: str) -> UniquenessClue | None:
         return self._su_index.get(rel)
 
-    def referenced_relations(self) -> set[str]:
-        rels: set[str] = set()
-        for clue in (*self.sr, *self.ro, *self.rer):
-            rels.add(clue.rel_a)
-            rels.add(clue.rel_b)
-        for clue in (*self.ou, *self.su):
-            rels.add(clue.rel)
-        return rels
-
     def counts(self) -> dict[str, int]:
         return {kind: len(getattr(self, kind)) for kind in ALL_KINDS}
 

@@ -155,7 +155,6 @@ def build_model(
             raise ModelError(f"variable ids must be dense, found {v.id} at position {expected}")
     n = len(vars)
     coeffs = [v.objective_coeff for v in vars]
-    names = _unique_names(_var_name(v) for v in vars)
     pairwise: list[tuple[int, int]] = []
     groups: list[tuple[int, ...]] = []
     for c in hard:
@@ -174,8 +173,10 @@ def build_model(
             if not (0 <= aux.var_a < n and 0 <= aux.var_b < n):
                 raise ModelError("auxiliary variable links unknown decision variables")
             coeffs.append(-aux.penalty)
-            names.append(_unique_name(names, f"aux_{aux.var_a}_{aux.var_b}"))
             links.append((aux.var_a, aux.var_b, aux.id))
+    names = _unique_names(
+        [_var_name(v) for v in vars] + [f"aux_{a}_{b}" for a, b, _aux in links]
+    )
     return IlpModel(
         coeffs=coeffs,
         num_decision=n,
@@ -192,15 +193,6 @@ def _var_name(v: DecisionVar) -> str:
 
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
-
-
-def _unique_name(taken: Sequence[str], name: str) -> str:
-    if name not in taken:
-        return name
-    suffix = 2
-    while f"{name}_{suffix}" in taken:
-        suffix += 1
-    return f"{name}_{suffix}"
 
 
 def _unique_names(names: Iterable[str]) -> list[str]:
@@ -220,13 +212,6 @@ def _unique_names(names: Iterable[str]) -> list[str]:
 def selection_objective(model: IlpModel, selected: Iterable[int]) -> float:
     """Canonical objective of a selection: fsum over ascending ids."""
     return math.fsum(model.coeffs[i] for i in sorted(selected))
-
-
-def forced_aux(model: IlpModel, selected_decisions: set[int]) -> set[int]:
-    """Auxiliary ids feasibility forces to 1 for the given decision set."""
-    return {
-        aux for a, b, aux in model.links if a in selected_decisions and b in selected_decisions
-    }
 
 
 def check_assignment(model: IlpModel, assignment: Mapping[int, int]) -> list[str]:
@@ -282,42 +267,47 @@ def decompose(model: IlpModel) -> list[Component]:
         connect(b, aux)
         connect(a, b)
 
-    seen = [False] * n
-    components: list[Component] = []
+    label = [-1] * n
+    local = [0] * n
+    members_of: list[list[int]] = []
     for start in range(n):
-        if seen[start]:
+        if label[start] >= 0:
             continue
-        seen[start] = True
+        comp = len(members_of)
+        label[start] = comp
         queue = deque([start])
         members = [start]
         while queue:
             node = queue.popleft()
             for neighbor in adjacency[node]:
-                if not seen[neighbor]:
-                    seen[neighbor] = True
+                if label[neighbor] < 0:
+                    label[neighbor] = comp
                     members.append(neighbor)
                     queue.append(neighbor)
         members.sort()
-        local = {gid: lid for lid, gid in enumerate(members)}
-        member_set = set(members)
+        for lid, gid in enumerate(members):
+            local[gid] = lid
+        members_of.append(members)
+
+    # a row lies inside one component: the component of its first id
+    pairwise: list[list[tuple[int, int]]] = [[] for _ in members_of]
+    groups: list[list[tuple[int, ...]]] = [[] for _ in members_of]
+    links: list[list[tuple[int, int, int]]] = [[] for _ in members_of]
+    for i, j in model.pairwise:
+        pairwise[label[i]].append((min(local[i], local[j]), max(local[i], local[j])))
+    for group in model.groups:
+        groups[label[group[0]]].append(tuple(sorted(local[i] for i in group)))
+    for a, b, aux in model.links:
+        links[label[a]].append((local[a], local[b], local[aux]))
+
+    components: list[Component] = []
+    for comp, members in enumerate(members_of):
         sub = IlpModel(
             coeffs=[model.coeffs[g] for g in members],
             num_decision=sum(1 for g in members if g < model.num_decision),
-            pairwise=sorted(
-                (min(local[i], local[j]), max(local[i], local[j]))
-                for i, j in model.pairwise
-                if i in member_set
-            ),
-            groups=sorted(
-                tuple(sorted(local[i] for i in group))
-                for group in model.groups
-                if group[0] in member_set
-            ),
-            links=sorted(
-                (local[a], local[b], local[aux])
-                for a, b, aux in model.links
-                if a in member_set
-            ),
+            pairwise=sorted(pairwise[comp]),
+            groups=sorted(groups[comp]),
+            links=sorted(links[comp]),
             names=[model.names[g] for g in members],
         )
         components.append(Component(model=sub, var_map=tuple(members)))
@@ -326,6 +316,17 @@ def decompose(model: IlpModel) -> list[Component]:
 
 class _Timeout(Exception):
     pass
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bits of a mask in ascending order, in time linear in its length."""
+    digits = bin(mask)[:1:-1]
+    out: list[int] = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class _ComponentSolver:
@@ -339,6 +340,13 @@ class _ComponentSolver:
     searched by branching on the best-connected variable, so components
     shatter quickly. Committing a variable to 1 folds its link penalties
     into the partners' coefficients; the recursion solves what is left.
+
+    Variable sets are Python int bitmasks (bit i is variable i): the
+    conflict and structural neighborhoods of each variable, and the free
+    set of every subproblem. Sums over a set run in ascending id order.
+    The upper bound reaches its at-most-one cliques through a
+    per-variable index, so it visits only the cliques that touch a free
+    positive variable, in canonical order.
     """
 
     def __init__(self, model: IlpModel, deadline: float | None):
@@ -347,23 +355,26 @@ class _ComponentSolver:
         self.nodes = 0
         n = model.num_vars
         self.coeff = list(model.coeffs)
-        self.is_aux = [i >= model.num_decision for i in range(n)]
 
-        conflict: list[set[int]] = [set() for _ in range(n)]
+        conflict = [0] * n
         for i, j in model.pairwise:
-            conflict[i].add(j)
-            conflict[j].add(i)
+            conflict[i] |= 1 << j
+            conflict[j] |= 1 << i
         for group in model.groups:
+            members = 0
             for i in group:
-                for j in group:
-                    if i != j:
-                        conflict[i].add(j)
-        self.conflict = [frozenset(c) for c in conflict]
+                members |= 1 << i
+            for i in group:
+                conflict[i] |= members & ~(1 << i)
+        self.conflict = conflict
 
-        # at-most-one cliques in canonical order, for the bound discounts
-        self.cliques: list[tuple[int, ...]] = [
-            (i, j) for i, j in sorted(model.pairwise)
-        ] + sorted(model.groups)
+        # at-most-one cliques in canonical order, for the bound discounts,
+        # and the ascending indices of the cliques each variable is in
+        self.cliques: list[tuple[int, ...]] = sorted(model.pairwise) + sorted(model.groups)
+        self.cliques_at: list[list[int]] = [[] for _ in range(n)]
+        for k, clique in enumerate(self.cliques):
+            for i in clique:
+                self.cliques_at[i].append(k)
 
         # links_at[v] = (partner, aux id, aux coefficient, link index)
         self.links_at: list[list[tuple[int, int, float, int]]] = [[] for _ in range(n)]
@@ -375,15 +386,15 @@ class _ComponentSolver:
         # ancestor whose endpoint was committed to 1
         self.folded_aux: list[list[int]] = [[] for _ in range(n)]
 
-        struct: list[set[int]] = [set(c) for c in conflict]
+        struct = list(conflict)
         for a, b, _aux in model.links:
-            struct[a].add(b)
-            struct[b].add(a)
-        self.struct = [frozenset(s) for s in struct]
+            struct[a] |= 1 << b
+            struct[b] |= 1 << a
+        self.struct = struct
 
     def run(self) -> tuple[frozenset[int], bool]:
         """Best decision-variable selection and whether it is proven optimal."""
-        free = frozenset(i for i in range(self.model.num_vars) if not self.is_aux[i])
+        free = (1 << self.model.num_decision) - 1
         try:
             return frozenset(self._solve_free(free)), True
         except _Timeout:
@@ -395,33 +406,29 @@ class _ComponentSolver:
             if time.monotonic() > self.deadline:
                 raise _Timeout
 
-    def _greedy(self, free: frozenset[int]) -> frozenset[int]:
-        taken: set[int] = set()
-        blocked: set[int] = set()
-        for v in sorted(free, key=lambda i: (-self.coeff[i], i)):
-            if v in blocked or self.coeff[v] <= 0:
+    def _greedy(self, free: int) -> frozenset[int]:
+        taken: list[int] = []
+        blocked = 0
+        for v in sorted(_bits(free), key=lambda i: (-self.coeff[i], i)):
+            if blocked >> v & 1 or self.coeff[v] <= 0:
                 continue
-            taken.add(v)
-            blocked.update(self.conflict[v])
+            taken.append(v)
+            blocked |= self.conflict[v]
         return frozenset(taken)
 
-    def _split(self, free: frozenset[int]) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        parts: list[frozenset[int]] = []
-        for start in sorted(free):
-            if start in seen:
-                continue
-            queue = deque([start])
-            seen.add(start)
-            part = {start}
-            while queue:
-                node = queue.popleft()
-                for neighbor in self.struct[node]:
-                    if neighbor in free and neighbor not in seen:
-                        seen.add(neighbor)
-                        part.add(neighbor)
-                        queue.append(neighbor)
-            parts.append(frozenset(part))
+    def _split(self, free: int) -> list[int]:
+        """Connected parts of a free set, ordered by their lowest id."""
+        parts: list[int] = []
+        while free:
+            part = frontier = free & -free
+            while frontier:
+                grown = 0
+                for node in _bits(frontier):
+                    grown |= self.struct[node]
+                frontier = grown & free & ~part
+                part |= frontier
+            parts.append(part)
+            free &= ~part
         return parts
 
     def _value_and_tiebreak(
@@ -450,34 +457,34 @@ class _ComponentSolver:
         value = math.fsum(terms + [coeff for _aux, coeff in link_terms])
         return value, tuple(sorted(sel.union(aux_ids)))
 
-    def _upper_bound(self, free: frozenset[int]) -> float:
+    def _upper_bound(self, free: int) -> float:
         """Optimistic value of a free set: positive coefficients, each
         at-most-one clique discounted to its single best free member.
         Active link penalties are nonpositive, so they add nothing."""
+        coeff = self.coeff
+        positive = [i for i in _bits(free) if coeff[i] > 0]
         bound = 0.0
-        consumed: set[int] = set()
-        for i in free:
-            c = self.coeff[i]
-            if c > 0:
-                bound += c
-        for clique in self.cliques:
-            members = [
-                i for i in clique if i in free and self.coeff[i] > 0 and i not in consumed
-            ]
+        touched: set[int] = set()
+        for i in positive:
+            bound += coeff[i]
+            touched.update(self.cliques_at[i])
+        available = set(positive)
+        for k in sorted(touched):
+            members = [i for i in self.cliques[k] if i in available]
             if len(members) > 1:
-                total = sum(self.coeff[i] for i in members)
-                best = max(self.coeff[i] for i in members)
+                total = sum(coeff[i] for i in members)
+                best = max(coeff[i] for i in members)
                 bound -= total - best
-                consumed.update(members)
+                available.difference_update(members)
         return bound
 
-    def _has_live_link(self, v: int, free: set[int] | frozenset[int]) -> bool:
+    def _has_live_link(self, v: int, free: int) -> bool:
         return any(
-            self.link_active[idx] and partner in free
+            self.link_active[idx] and free >> partner & 1
             for partner, _aux, _coeff, idx in self.links_at[v]
         )
 
-    def _reduce(self, free: frozenset[int]) -> tuple[list[int], frozenset[int]]:
+    def _reduce(self, free: int) -> tuple[list[int], int]:
         """Shrink a subproblem with exactness- and tie-preserving rules.
 
         Run to fixpoint over the current graph:
@@ -494,59 +501,55 @@ class _ComponentSolver:
         * simplicial: a link-free variable strictly heavier than each
           member of a clique neighborhood is in every optimum.
         """
-        remaining = set(free)
+        coeff = self.coeff
+        conflict = self.conflict
+        remaining = free
         forced: list[int] = []
         changed = True
         while changed:
             changed = False
-            for v in sorted(remaining):
-                if v not in remaining:
+            for v in _bits(remaining):
+                vbit = 1 << v
+                if not remaining & vbit:
                     continue
-                if self.coeff[v] < 0:
-                    remaining.discard(v)
+                if coeff[v] < 0:
+                    remaining &= ~vbit
                     changed = True
                     continue
-                neighborhood = self.conflict[v] & remaining
+                nmask = conflict[v] & remaining
+                neighborhood = _bits(nmask)
                 link_free = not self._has_live_link(v, remaining)
                 if link_free:
-                    rival = sum(
-                        self.coeff[u] for u in neighborhood if self.coeff[u] > 0
-                    )
-                    if self.coeff[v] > rival:
+                    rival = sum(coeff[u] for u in neighborhood if coeff[u] > 0)
+                    if coeff[v] > rival:
                         forced.append(v)
-                        remaining.discard(v)
-                        remaining.difference_update(neighborhood)
+                        remaining &= ~(vbit | nmask)
                         changed = True
                         continue
                 dominated = False
+                outside = remaining & ~(vbit | nmask)
                 for u in neighborhood:
-                    if self.coeff[u] < self.coeff[v] or (
-                        self.coeff[u] == self.coeff[v] and u > v
-                    ):
+                    if coeff[u] < coeff[v] or (coeff[u] == coeff[v] and u > v):
                         continue
                     if self._has_live_link(u, remaining):
                         continue
-                    if ((self.conflict[u] & remaining) - {v}) <= (neighborhood - {u}):
+                    if not conflict[u] & outside:
                         dominated = True
                         break
                 if dominated:
-                    remaining.discard(v)
+                    remaining &= ~vbit
                     changed = True
                     continue
                 if link_free and len(neighborhood) <= 8:
-                    members = sorted(neighborhood)
-                    if all(self.coeff[v] > self.coeff[u] for u in members) and all(
-                        members[j] in self.conflict[members[i]]
-                        for i in range(len(members))
-                        for j in range(i + 1, len(members))
+                    if all(coeff[v] > coeff[u] for u in neighborhood) and all(
+                        nmask & ~conflict[u] == 1 << u for u in neighborhood
                     ):
                         forced.append(v)
-                        remaining.discard(v)
-                        remaining.difference_update(members)
+                        remaining &= ~(vbit | nmask)
                         changed = True
-        return forced, frozenset(remaining)
+        return forced, remaining
 
-    def _solve_free(self, free: frozenset[int]) -> tuple[int, ...]:
+    def _solve_free(self, free: int) -> tuple[int, ...]:
         if not free:
             return ()
         self._tick()
@@ -556,22 +559,23 @@ class _ComponentSolver:
             selected.extend(self._solve_connected(part))
         return tuple(selected)
 
-    def _solve_connected(self, free: frozenset[int]) -> tuple[int, ...]:
+    def _solve_connected(self, free: int) -> tuple[int, ...]:
         self._tick()
-        if len(free) == 1:
-            (v,) = free
+        if not free & (free - 1):
+            v = free.bit_length() - 1
             return (v,) if self.coeff[v] > 0 else ()
         # branch where the graph shatters: best-connected first
         v = min(
-            free,
-            key=lambda i: (-len(self.conflict[i] & free), -self.coeff[i], i),
+            _bits(free),
+            key=lambda i: (-(self.conflict[i] & free).bit_count(), -self.coeff[i], i),
         )
+        vbit = 1 << v
 
         best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
         # a strictly negative variable is in no optimum; zero-coefficient
         # ones still branch, since the tie-break may want them selected
         if self.coeff[v] >= 0:
-            rest = free - {v} - self.conflict[v]
+            rest = free & ~(vbit | self.conflict[v])
             undo = self._fold_links(v, rest)
             try:
                 sub = self._solve_free(rest)
@@ -581,7 +585,7 @@ class _ComponentSolver:
             value, tiebreak = self._value_and_tiebreak(include)
             best = (value, tiebreak, include)
 
-        rest0 = free - {v}
+        rest0 = free & ~vbit
         explore = best is None or self._upper_bound(rest0) >= best[0] - TIE_EPS
         if explore:
             sub0 = self._solve_free(rest0)
@@ -590,14 +594,14 @@ class _ComponentSolver:
                 best = (value0, tiebreak0, sub0)
         return best[2]
 
-    def _fold_links(self, v: int, remaining: frozenset[int]) -> list[tuple[int, float, int]]:
+    def _fold_links(self, v: int, remaining: int) -> list[tuple[int, float, int]]:
         """Commit v=1: fold each active link's penalty into its partner.
 
         Afterwards a partner's selection already pays the forced auxiliary
         penalty through its adjusted coefficient."""
         undo: list[tuple[int, float, int]] = []
         for partner, aux, aux_coeff, idx in self.links_at[v]:
-            if self.link_active[idx] and partner in remaining:
+            if self.link_active[idx] and remaining >> partner & 1:
                 undo.append((partner, self.coeff[partner], idx))
                 self.coeff[partner] += aux_coeff
                 self.link_active[idx] = False

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from reljoint.clues import TypeClue
-from reljoint.constraints import DecisionVar, HardConstraint, soften
-from reljoint.ilp import IlpModel
-from reljoint.kb import KbIndex, Triple
+from reljoint.candidates import build_pair_candidates, load_predictions
+from reljoint.clues import TypeClue, mine_clues
+from reljoint.constraints import DecisionVar, HardConstraint, generate_hard, soften
+from reljoint.ilp import IlpModel, build_model
+from reljoint.kb import KbIndex, Triple, read_triples
+from reljoint.synth import SynthConfig, conflict_schema, generate
 
 
 def kb_from(*rows: tuple[str, str, str]) -> KbIndex:
@@ -80,6 +82,47 @@ def soft_pair_model(coeff_a: float, coeff_b: float, penalty: float):
     remaining, aug = soften(vars, hard, alpha=penalty)
     assert remaining == [] and len(aug.aux_vars) == 1
     return vars, remaining, aug
+
+
+def type_leaks(facts: list[Triple], seed: int, per_relation: int) -> list[Triple]:
+    """Cross-type facts for a conflict-world KB: each borrows one argument
+    from a relation of another argument type, so mining gives those
+    relation pairs finite (below-threshold) type-clue scores."""
+    schema = {r.name: r for r in conflict_schema()}
+    subjects = {r: sorted({t.subject for t in facts if t.relation == r}) for r in schema}
+    objects = {r: sorted({t.object for t in facts if t.relation == r}) for r in schema}
+    rng = random.Random(f"leak-{seed}")
+    leaks = []
+    for rel, spec in sorted(schema.items()):
+        for k in range(per_relation):
+            if k % 2 == 0:
+                donor = rng.choice(
+                    sorted(r for r in schema if schema[r].subject_type != spec.subject_type)
+                )
+                s, o = rng.choice(subjects[donor]), rng.choice(objects[rel])
+            else:
+                donor = rng.choice(
+                    sorted(r for r in schema if schema[r].object_type != spec.object_type)
+                )
+                s, o = rng.choice(subjects[rel]), rng.choice(objects[donor])
+            if s != o:
+                leaks.append(Triple(s, rel, o))
+    return leaks
+
+
+def synth_model(tmp_path, seed: int, pairs: int, leaks: int = 0, alpha: float | None = None):
+    """Model of a seeded conflict world (noise 0.4) under its mined clues;
+    `leaks` cross-type facts per relation are added to the KB before
+    mining, and a given `alpha` softens the finite-score rows."""
+    world = generate(SynthConfig(seed=seed, pairs=pairs, noise=0.4), tmp_path / f"w{seed}_{pairs}")
+    facts = read_triples(world.triples_path)
+    clues = mine_clues(KbIndex(facts + type_leaks(facts, seed, leaks)))
+    candidates = build_pair_candidates(load_predictions(world.predictions_path))
+    vars, hard = generate_hard(candidates, clues)
+    soft = None
+    if alpha is not None:
+        hard, soft = soften(vars, hard, alpha)
+    return build_model(vars, hard, soft)
 
 
 @pytest.fixture

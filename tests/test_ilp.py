@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from reljoint.clues import TypeClue
-from reljoint.constraints import DecisionVar, HardConstraint, soften
+from reljoint.candidates import MentionPrediction, build_pair_candidates
+from reljoint.clues import ClueSet, TypeClue
+from reljoint.constraints import DecisionVar, HardConstraint, generate_hard, soften
 from reljoint.ilp import (
     IlpModel,
     ModelError,
@@ -14,7 +17,7 @@ from reljoint.ilp import (
     solve,
 )
 
-from conftest import chain_instance, random_model, soft_pair_model
+from conftest import chain_instance, random_model, soft_pair_model, synth_model
 
 
 def two_var_conflict():
@@ -184,6 +187,47 @@ class TestSolve:
             again = solve(model)
             assert again.assignment == first.assignment
             assert again.objective_value == first.objective_value
+
+
+def mixed_hub_model(pairs: int, seed: int) -> IlpModel:
+    """One subject in every pair, candidates ra and rb, an sr(ra, rb) clue:
+    even pairs' mentions prefer ra, odd pairs' prefer rb."""
+    rng = random.Random(f"hub-{seed}")
+    mentions = {}
+    for i in range(pairs):
+        pair_id = f"h{i:05d}"
+        mentions[pair_id] = []
+        for j in range(rng.randint(1, 3)):
+            high, low = rng.uniform(0.45, 0.7), rng.uniform(0.1, 0.3)
+            scores = {"ra": low, "rb": high} if i % 2 else {"ra": high, "rb": low}
+            mentions[pair_id].append(
+                MentionPrediction(pair_id, "hub", f"obj_{i:05d}", f"{pair_id}_m{j}", scores)
+            )
+    clues = ClueSet(sr=[TypeClue("sr", "ra", "rb")])
+    return build_model(*generate_hard(build_pair_candidates(mentions), clues))
+
+
+class TestPinnedSearch:
+    """Node count, component count and objective of seeded models, pinned:
+    a change to the branching order, the reductions or a tie-break moves
+    them."""
+
+    def test_hard_world(self, tmp_path):
+        solution = solve(synth_model(tmp_path, seed=7, pairs=300))
+        assert (solution.stats.nodes, solution.stats.components) == (239, 231)
+        assert solution.objective_value == 489.66778178071786
+
+    def test_soft_leaky_world(self, tmp_path):
+        model = synth_model(tmp_path, seed=7, pairs=150, leaks=4, alpha=1.0)
+        assert model.links
+        solution = solve(model)
+        assert (solution.stats.nodes, solution.stats.components) == (483, 131)
+        assert solution.objective_value == 256.262290111018
+
+    def test_mixed_preference_hub(self):
+        solution = solve(mixed_hub_model(40, seed=7))
+        assert (solution.stats.nodes, solution.stats.components) == (100, 1)
+        assert solution.objective_value == 48.678231748258156
 
 
 class TestBruteForce:
