@@ -12,7 +12,9 @@ pruning.
 Feasibility forces every auxiliary variable to equal the AND of its
 endpoints, so the search only branches on decision variables; a link's
 penalty is folded into the partner's coefficient once one endpoint is
-committed.
+committed. A link whose penalty outweighs its cheaper endpoint is never
+paid by an optimum, so the component solver treats it as a conflict
+edge; the links that remain tighten the bound pair by pair.
 
 Determinism contract: fixed inputs give a fixed result whenever the
 search completes within budget, with ties resolved toward the
@@ -78,6 +80,14 @@ class IlpModel:
             self.names = [f"x{i}" for i in range(len(self.coeffs))]
         self.validate()
 
+    @classmethod
+    def _of_valid_rows(cls, **fields) -> IlpModel:
+        """A model from rows cut out of an already validated model, built
+        without running `validate()` again."""
+        model = cls.__new__(cls)
+        model.__dict__.update(fields)
+        return model
+
     @property
     def num_vars(self) -> int:
         return len(self.coeffs)
@@ -131,6 +141,8 @@ class SolveStats:
     nodes: int = 0
     components: int = 0
     wall_ms: float = 0.0
+    # links the component solvers turned into conflict edges
+    hardened_links: int = 0
 
 
 @dataclass
@@ -302,7 +314,7 @@ def decompose(model: IlpModel) -> list[Component]:
 
     components: list[Component] = []
     for comp, members in enumerate(members_of):
-        sub = IlpModel(
+        sub = IlpModel._of_valid_rows(
             coeffs=[model.coeffs[g] for g in members],
             num_decision=sum(1 for g in members if g < model.num_decision),
             pairwise=sorted(pairwise[comp]),
@@ -341,6 +353,12 @@ class _ComponentSolver:
     shatter quickly. Committing a variable to 1 folds its link penalties
     into the partners' coefficients; the recursion solves what is left.
 
+    A link (a, b, aux) with coeff[aux] + min(coeff[a], coeff[b]) < 0 is
+    hardened on construction: it becomes a conflict edge and a pairwise
+    clique of the bound, and the search never sees it as a link. Only
+    the remaining links block the domination rules, and the bound
+    discounts each of them whose endpoints are both still undiscounted.
+
     Variable sets are Python int bitmasks (bit i is variable i): the
     conflict and structural neighborhoods of each variable, and the free
     set of every subproblem. Sums over a set run in ascending id order.
@@ -366,25 +384,42 @@ class _ComponentSolver:
                 members |= 1 << i
             for i in group:
                 conflict[i] |= members & ~(1 << i)
+        # A link costing more than its cheaper endpoint is never paid by an
+        # optimum: dropping that endpoint gains -(c + p) > 0, since other
+        # link penalties are <= 0 and the feasible set is downward-closed.
+        # It is exactly a conflict edge. The test stays strict: at
+        # equality {a, b, aux} ties {b}, and the tie-break may want it.
+        # links_at[v] = (partner, aux id, aux coefficient, link index)
+        self.links_at: list[list[tuple[int, int, float, int]]] = [[] for _ in range(n)]
+        self.link_active = [True] * len(model.links)
+        hardened: list[tuple[int, int]] = []
+        linked = 0
+        for idx, (a, b, aux) in enumerate(model.links):
+            penalty = model.coeffs[aux]
+            if penalty + min(model.coeffs[a], model.coeffs[b]) < 0:
+                conflict[a] |= 1 << b
+                conflict[b] |= 1 << a
+                hardened.append((min(a, b), max(a, b)))
+                continue
+            self.links_at[a].append((b, aux, penalty, idx))
+            self.links_at[b].append((a, aux, penalty, idx))
+            linked |= 1 << a | 1 << b
         self.conflict = conflict
+        self.hardened_links = len(hardened)
+        # variables with a link left in the search, for the bound's link walk
+        self.linked = linked
+        # aux ids forced onto a variable by links already folded at an
+        # ancestor whose endpoint was committed to 1
+        self.folded_aux: list[list[int]] = [[] for _ in range(n)]
 
         # at-most-one cliques in canonical order, for the bound discounts,
         # and the ascending indices of the cliques each variable is in
-        self.cliques: list[tuple[int, ...]] = sorted(model.pairwise) + sorted(model.groups)
+        pairs = sorted(model.pairwise + hardened)
+        self.cliques: list[tuple[int, ...]] = pairs + sorted(model.groups)
         self.cliques_at: list[list[int]] = [[] for _ in range(n)]
         for k, clique in enumerate(self.cliques):
             for i in clique:
                 self.cliques_at[i].append(k)
-
-        # links_at[v] = (partner, aux id, aux coefficient, link index)
-        self.links_at: list[list[tuple[int, int, float, int]]] = [[] for _ in range(n)]
-        self.link_active = [True] * len(model.links)
-        for idx, (a, b, aux) in enumerate(model.links):
-            self.links_at[a].append((b, aux, model.coeffs[aux], idx))
-            self.links_at[b].append((a, aux, model.coeffs[aux], idx))
-        # aux ids forced onto a variable by links already folded at an
-        # ancestor whose endpoint was committed to 1
-        self.folded_aux: list[list[int]] = [[] for _ in range(n)]
 
         struct = list(conflict)
         for a, b, _aux in model.links:
@@ -402,19 +437,27 @@ class _ComponentSolver:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
 
     def _greedy(self, free: int) -> frozenset[int]:
-        taken: list[int] = []
+        """Heaviest-first feasible selection. A variable is taken only if
+        its coefficient plus the penalties of its active links to variables
+        already taken is positive, so the selection never scores below 0."""
+        taken = 0
         blocked = 0
         for v in sorted(_bits(free), key=lambda i: (-self.coeff[i], i)):
-            if blocked >> v & 1 or self.coeff[v] <= 0:
+            if blocked >> v & 1:
                 continue
-            taken.append(v)
-            blocked |= self.conflict[v]
-        return frozenset(taken)
+            gain = self.coeff[v] + sum(
+                aux_coeff
+                for partner, _aux, aux_coeff, idx in self.links_at[v]
+                if self.link_active[idx] and taken >> partner & 1
+            )
+            if gain > 0:
+                taken |= 1 << v
+                blocked |= self.conflict[v]
+        return frozenset(_bits(taken))
 
     def _split(self, free: int) -> list[int]:
         """Connected parts of a free set, ordered by their lowest id."""
@@ -459,8 +502,11 @@ class _ComponentSolver:
 
     def _upper_bound(self, free: int) -> float:
         """Optimistic value of a free set: positive coefficients, each
-        at-most-one clique discounted to its single best free member.
-        Active link penalties are nonpositive, so they add nothing."""
+        at-most-one clique discounted to its single best free member, then
+        each active link between two still-undiscounted members, walked in
+        ascending id order, discounted by min(c_a, c_b, -penalty): the pair
+        is worth at most max(c_a, c_b, c_a + c_b + penalty). Other link
+        penalties are nonpositive, so they add nothing."""
         coeff = self.coeff
         positive = [i for i in _bits(free) if coeff[i] > 0]
         bound = 0.0
@@ -476,6 +522,15 @@ class _ComponentSolver:
                 best = max(coeff[i] for i in members)
                 bound -= total - best
                 available.difference_update(members)
+        for i in _bits(self.linked & free):  # empty without links: hard mode
+            if i not in available:
+                continue
+            for partner, _aux, aux_coeff, idx in self.links_at[i]:
+                if partner in available and self.link_active[idx]:
+                    bound -= min(coeff[i], coeff[partner], -aux_coeff)
+                    available.discard(i)
+                    available.discard(partner)
+                    break
         return bound
 
     def _has_live_link(self, v: int, free: int) -> bool:
@@ -615,7 +670,9 @@ class _ComponentSolver:
             self.folded_aux[partner].pop()
 
 
-def _solve_component(sub: IlpModel, deadline: float | None) -> tuple[frozenset[int], bool, int]:
+def _solve_component(
+    sub: IlpModel, deadline: float | None
+) -> tuple[frozenset[int], bool, _ComponentSolver]:
     solver = _ComponentSolver(sub, deadline)
     needed = 6 * sub.num_vars + 2000
     if sys.getrecursionlimit() < needed:
@@ -641,20 +698,21 @@ def _solve_component(sub: IlpModel, deadline: float | None) -> tuple[frozenset[i
         selection, optimal = result["value"]
     else:
         selection, optimal = solver.run()
-    return selection, optimal, solver.nodes
+    return selection, optimal, solver
 
 
 def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> Solution:
     """Exact maximization; `time_budget_ms` caps each component's search.
 
-    On budget exhaustion a component falls back to its greedy incumbent
-    and the solution is flagged non-optimal. The all-zeros assignment is
-    always feasible, so a solution always exists.
+    On budget exhaustion a component falls back to its greedy incumbent,
+    which never scores below zero, and the solution is flagged
+    non-optimal. The all-zeros assignment is always feasible, so a
+    solution always exists.
     """
     start = time.monotonic()
     components = decompose(model)
     assignment = {i: 0 for i in range(model.num_vars)}
-    nodes = 0
+    nodes = hardened_links = 0
     optimal = True
     # Budget priority goes to the largest components; results merge by id,
     # so the order cannot change the outcome.
@@ -669,8 +727,9 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
             deadline = (
                 time.monotonic() + time_budget_ms / 1000.0 if time_budget_ms else None
             )
-            local_selected, comp_optimal, comp_nodes = _solve_component(sub, deadline)
-            nodes += comp_nodes
+            local_selected, comp_optimal, solver = _solve_component(sub, deadline)
+            nodes += solver.nodes
+            hardened_links += solver.hardened_links
         for local in local_selected:
             assignment[component.var_map[local]] = 1
         for _a, _b, aux in sub.links:
@@ -689,7 +748,12 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
         assignment=assignment,
         objective_value=objective,
         optimal=optimal,
-        stats=SolveStats(nodes=nodes, components=len(components), wall_ms=wall_ms),
+        stats=SolveStats(
+            nodes=nodes,
+            components=len(components),
+            wall_ms=wall_ms,
+            hardened_links=hardened_links,
+        ),
     )
 
 

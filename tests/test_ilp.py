@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from reljoint.constraints import DecisionVar, HardConstraint, generate_hard, sof
 from reljoint.ilp import (
     IlpModel,
     ModelError,
+    _ComponentSolver,
     brute_force,
     build_model,
     check_assignment,
@@ -221,13 +224,76 @@ class TestPinnedSearch:
         model = synth_model(tmp_path, seed=7, pairs=150, leaks=4, alpha=1.0)
         assert model.links
         solution = solve(model)
-        assert (solution.stats.nodes, solution.stats.components) == (483, 131)
+        assert (solution.stats.nodes, solution.stats.components) == (133, 131)
+        assert solution.stats.hardened_links == len(model.links) == 397
         assert solution.objective_value == 256.262290111018
 
     def test_mixed_preference_hub(self):
         solution = solve(mixed_hub_model(40, seed=7))
         assert (solution.stats.nodes, solution.stats.components) == (100, 1)
         assert solution.objective_value == 48.678231748258156
+
+
+def boundary_link_model(rng: random.Random) -> tuple[IlpModel, list[str]]:
+    """Random model whose link penalties each sit below, exactly on, or
+    above minus the cheaper endpoint's coefficient; returns the model and
+    each link's side."""
+    n = rng.randint(3, 10)
+    coeffs = [round(rng.uniform(0.05, 2.0), 2) for _ in range(n)]
+    pairwise = set()
+    for _ in range(rng.randint(0, n // 2)):
+        i, j = rng.sample(range(n), 2)
+        pairwise.add((min(i, j), max(i, j)))
+    links, sides = [], []
+    for _ in range(rng.randint(1, min(n, 25 - n))):
+        a, b = rng.sample(range(n), 2)
+        side = rng.choice(["below", "on", "above"])
+        cheaper = min(coeffs[a], coeffs[b])
+        penalty = {"below": -cheaper - 0.25, "on": -cheaper, "above": min(0.0, 0.25 - cheaper)}
+        coeffs.append(penalty[side])
+        links.append((a, b, n + len(links)))
+        sides.append(side)
+    return IlpModel(coeffs=coeffs, num_decision=n, pairwise=sorted(pairwise), links=links), sides
+
+
+class TestLinkHardening:
+    """A link whose penalty outweighs its cheaper endpoint becomes a
+    conflict edge inside the component solver; one exactly on that line
+    stays a link."""
+
+    def test_equality_keeps_the_tie_break(self):
+        # {0, 1, aux} ties {1} at 1.0; the tie-break prefers the first
+        model = IlpModel(coeffs=[0.5, 1.0, -0.5], num_decision=2, links=[(0, 1, 2)])
+        solution = solve(model)
+        assert solution.stats.hardened_links == 0
+        assert solution.selected() == brute_force(model).selected() == [0, 1, 2]
+        model.coeffs[2] = -0.5000001
+        solution = solve(model)
+        assert solution.stats.hardened_links == 1
+        assert solution.selected() == brute_force(model).selected() == [1]
+
+    def test_boundary_penalties_match_brute_force(self, rng):
+        for trial in range(150):
+            model, sides = boundary_link_model(rng)
+            solution = solve(model)
+            oracle = brute_force(model)
+            assert solution.stats.hardened_links == sides.count("below"), trial
+            assert solution.objective_value == oracle.objective_value, trial
+            # a link exactly on the line leaves a zero effective coefficient
+            # after folding: the corner where the component-wise tie-break
+            # is approximate (see the ilp module docstring)
+            if "on" not in sides:
+                assert solution.selected() == oracle.selected(), trial
+
+    def test_timeout_fallback_never_scores_below_zero(self):
+        # a 5-clique of links that are not dominated: 1 - 0.9 > 0
+        n = 5
+        links = [(a, b, n + k) for k, (a, b) in enumerate(itertools.combinations(range(n), 2))]
+        model = IlpModel(coeffs=[1.0] * n + [-0.9] * len(links), num_decision=n, links=links)
+        selection, optimal = _ComponentSolver(model, deadline=time.monotonic() - 1).run()
+        assert not optimal
+        chosen = set(selection) | {aux for a, b, aux in links if {a, b} <= selection}
+        assert selection_objective(model, chosen) >= 0
 
 
 class TestBruteForce:

@@ -65,3 +65,17 @@ def test_components_match_highs(tmp_path, seed, pairs, leaks, alpha, violations)
         )
         paid += sum(solution.assignment[aux] for _a, _b, aux in sub.links)
     assert paid >= violations
+
+
+@pytest.mark.parametrize("alpha, hardened", [(1.0, 4295), (0.2, 3074)])
+def test_leaky_world_solves_to_optimality(tmp_path, alpha, hardened):
+    """The 1000-pair leaky world in soft mode, whole: links that outweigh
+    their cheaper endpoint become conflict edges, and the rest bound the
+    search, so it is solved exactly (not just per component)."""
+    model = synth_model(tmp_path, 7, 1000, leaks=4, alpha=alpha)
+    solution = solve(model)
+    assert solution.optimal
+    assert (solution.stats.hardened_links, len(model.links)) == (hardened, 4295)
+    assert math.isclose(
+        solution.objective_value, highs_objective(model), rel_tol=1e-9, abs_tol=1e-9
+    )
