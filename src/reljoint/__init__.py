@@ -27,9 +27,11 @@ from .clues import (
 )
 from .constraints import (
     AuxVar,
+    ConflictBlock,
     DecisionVar,
     HardConstraint,
     SoftAugmentation,
+    generate_blocks,
     generate_hard,
     soften,
 )

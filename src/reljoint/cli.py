@@ -170,7 +170,7 @@ def _build_pipeline(predictions_path, clue_paths, config, families):
 
 
 def _build_model(pairs, clues, config):
-    vars, hard = cons.generate_hard(pairs, clues)
+    vars, hard = cons.generate_blocks(pairs, clues)
     soft = None
     if config.mode == "soft":
         hard, soft = cons.soften(vars, hard, config.alpha)

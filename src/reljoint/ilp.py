@@ -1,13 +1,16 @@
 """0-1 integer linear program: model, exact solver, oracle, LP export.
 
-The model only ever contains three row shapes - pairwise exclusions
-(x_i + x_j <= 1), at-most-one groups, and the three-row linking gadget
-that forces an auxiliary variable to the AND of its two endpoints. That
-restriction buys an exact, deterministic solver: the constraint graph is
-decomposed into connected components, and each component is searched by
-depth-first branch and bound that re-splits the remaining free variables
-after every branch, with an at-most-one-tightened upper bound for
-pruning.
+The model only ever contains four row shapes - pairwise exclusions
+(x_i + x_j <= 1), at-most-one groups, bicliques (x_a + x_b <= 1 for every
+a of one side and b of the other, kept as the two sides), and the
+three-row linking gadget that forces an auxiliary variable to the AND of
+its two endpoints. That restriction buys an exact, deterministic solver:
+the constraint graph is decomposed into connected components, and each
+component is searched by depth-first branch and bound that re-splits the
+remaining free variables after every branch, with an upper bound
+tightened by the at-most-one cliques and the bicliques for pruning. A
+biclique costs the solver, the oracle and the feasibility check time in
+its number of members, not in its number of rows.
 
 Feasibility forces every auxiliary variable to equal the AND of its
 endpoints, so the search only branches on decision variables; a link's
@@ -36,14 +39,20 @@ import re
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .constraints import DecisionVar, HardConstraint, SoftAugmentation
+from .constraints import (
+    TYPE_FAMILIES,
+    ConflictBlock,
+    Constraint,
+    DecisionVar,
+    SoftAugmentation,
+    canonical_rows,
+)
 
 BRUTE_FORCE_LIMIT = 25
 DEFAULT_TIME_BUDGET_MS = 60_000
@@ -66,6 +75,12 @@ class IlpModel:
     `coeffs[i]` is variable i's objective coefficient; ids are dense.
     Variables with id >= num_decision are auxiliary: each appears as the
     third element of exactly one link and nowhere else.
+
+    A biclique `(family, left, right)` is the type-constraint block of that
+    family: x_a + x_b <= 1 for every a in `left` and b in `right`. Its
+    sides are ascending decision ids, disjoint, or equal for a block over
+    one bucket, which then excludes every two of its members. The family
+    fixes only how its rows are written out (see `export_lp`).
     """
 
     coeffs: list[float]
@@ -73,6 +88,9 @@ class IlpModel:
     pairwise: list[tuple[int, int]] = field(default_factory=list)
     groups: list[tuple[int, ...]] = field(default_factory=list)
     links: list[tuple[int, int, int]] = field(default_factory=list)
+    bicliques: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = field(
+        default_factory=list
+    )
     names: list[str] | None = None
 
     def __post_init__(self):
@@ -134,6 +152,19 @@ class IlpModel:
                 check(i, "group")
                 if i in expected_aux:
                     raise ModelError("groups may not touch auxiliary variables")
+        for family, left, right in self.bicliques:
+            if family not in TYPE_FAMILIES:
+                raise ModelError(f"biclique of unknown family {family!r}")
+            for side in (left, right):
+                if (
+                    not side
+                    or list(side) != sorted(set(side))
+                    or side[0] < 0
+                    or side[-1] >= self.num_decision
+                ):
+                    raise ModelError(f"biclique side {side} is not ascending decision ids")
+            if len(left) < 2 if left == right else not set(left).isdisjoint(right):
+                raise ModelError(f"biclique sides {left} and {right} overlap")
 
 
 @dataclass
@@ -158,10 +189,12 @@ class Solution:
 
 def build_model(
     vars: Sequence[DecisionVar],
-    hard: Sequence[HardConstraint],
+    hard: Sequence[Constraint],
     soft: SoftAugmentation | None = None,
 ) -> IlpModel:
-    """Assemble the model from generated variables and constraints."""
+    """Assemble the model from generated variables and constraints: a
+    two-variable row becomes a pairwise row, a larger one a group, and a
+    block a biclique."""
     for expected, v in enumerate(vars):
         if v.id != expected:
             raise ModelError(f"variable ids must be dense, found {v.id} at position {expected}")
@@ -169,7 +202,11 @@ def build_model(
     coeffs = [v.objective_coeff for v in vars]
     pairwise: list[tuple[int, int]] = []
     groups: list[tuple[int, ...]] = []
+    bicliques: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     for c in hard:
+        if isinstance(c, ConflictBlock):
+            bicliques.append((c.family, c.left, c.right))
+            continue
         for i in c.var_ids:
             if not 0 <= i < n:
                 raise ModelError(f"constraint references unknown variable {i}")
@@ -195,6 +232,7 @@ def build_model(
         pairwise=pairwise,
         groups=groups,
         links=links,
+        bicliques=bicliques,
         names=names,
     )
 
@@ -238,6 +276,14 @@ def check_assignment(model: IlpModel, assignment: Mapping[int, int]) -> list[str
     for group in model.groups:
         if sum(assignment.get(i, 0) for i in group) > 1:
             problems.append(f"group {group} violated")
+    for family, left, right in model.bicliques:
+        in_left = sum(assignment.get(i, 0) for i in left)
+        if left == right:
+            violated = in_left > 1
+        else:
+            violated = in_left > 0 and sum(assignment.get(i, 0) for i in right) > 0
+        if violated:
+            problems.append(f"{family} biclique {left} x {right} violated")
     for a, b, aux in model.links:
         xa, xb, xx = assignment.get(a, 0), assignment.get(b, 0), assignment.get(aux, 0)
         if xx > xa or xx > xb or xa + xb - xx > 1:
@@ -254,82 +300,6 @@ class Component:
     var_map: tuple[int, ...]
 
 
-def decompose(model: IlpModel) -> list[Component]:
-    """Split into connected components of the constraint graph.
-
-    Links connect their endpoints and auxiliary variable; unconstrained
-    variables become singleton components. Components are ordered by their
-    smallest parent id, so the output is independent of traversal order.
-    """
-    n = model.num_vars
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-
-    def connect(i: int, j: int) -> None:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-
-    for i, j in model.pairwise:
-        connect(i, j)
-    for group in model.groups:
-        anchor = group[0]
-        for i in group[1:]:
-            connect(anchor, i)
-    for a, b, aux in model.links:
-        connect(a, aux)
-        connect(b, aux)
-        connect(a, b)
-
-    label = [-1] * n
-    local = [0] * n
-    members_of: list[list[int]] = []
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        comp = len(members_of)
-        label[start] = comp
-        queue = deque([start])
-        members = [start]
-        while queue:
-            node = queue.popleft()
-            for neighbor in adjacency[node]:
-                if label[neighbor] < 0:
-                    label[neighbor] = comp
-                    members.append(neighbor)
-                    queue.append(neighbor)
-        members.sort()
-        for lid, gid in enumerate(members):
-            local[gid] = lid
-        members_of.append(members)
-
-    # a row lies inside one component: the component of its first id
-    pairwise: list[list[tuple[int, int]]] = [[] for _ in members_of]
-    groups: list[list[tuple[int, ...]]] = [[] for _ in members_of]
-    links: list[list[tuple[int, int, int]]] = [[] for _ in members_of]
-    for i, j in model.pairwise:
-        pairwise[label[i]].append((min(local[i], local[j]), max(local[i], local[j])))
-    for group in model.groups:
-        groups[label[group[0]]].append(tuple(sorted(local[i] for i in group)))
-    for a, b, aux in model.links:
-        links[label[a]].append((local[a], local[b], local[aux]))
-
-    components: list[Component] = []
-    for comp, members in enumerate(members_of):
-        sub = IlpModel._of_valid_rows(
-            coeffs=[model.coeffs[g] for g in members],
-            num_decision=sum(1 for g in members if g < model.num_decision),
-            pairwise=sorted(pairwise[comp]),
-            groups=sorted(groups[comp]),
-            links=sorted(links[comp]),
-            names=[model.names[g] for g in members],
-        )
-        components.append(Component(model=sub, var_map=tuple(members)))
-    return components
-
-
-class _Timeout(Exception):
-    pass
-
-
 def _bits(mask: int) -> list[int]:
     """Set bits of a mask in ascending order, in time linear in its length."""
     digits = bin(mask)[:1:-1]
@@ -339,6 +309,127 @@ def _bits(mask: int) -> list[int]:
         out.append(i)
         i = digits.find("1", i + 1)
     return out
+
+
+def _conflict_masks(model: IlpModel) -> list[int]:
+    """Per variable, the mask of the variables a row forbids beside it."""
+    conflict = [0] * model.num_vars
+    for i, j in model.pairwise:
+        conflict[i] |= 1 << j
+        conflict[j] |= 1 << i
+    cliques = list(model.groups)
+    for _family, left, right in model.bicliques:
+        if left == right:
+            cliques.append(left)
+            continue
+        left_mask = right_mask = 0
+        for i in left:
+            left_mask |= 1 << i
+        for i in right:
+            right_mask |= 1 << i
+        for i in left:
+            conflict[i] |= right_mask
+        for i in right:
+            conflict[i] |= left_mask
+    for clique in cliques:
+        members = 0
+        for i in clique:
+            members |= 1 << i
+        for i in clique:
+            conflict[i] |= members & ~(1 << i)
+    return conflict
+
+
+def _structure_masks(conflict: Sequence[int], links: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The conflict masks with each link's endpoints joined: the graph
+    whose connected parts are solved apart."""
+    struct = list(conflict)
+    for a, b, _aux in links:
+        struct[a] |= 1 << b
+        struct[b] |= 1 << a
+    return struct
+
+
+def _parts(free: int, struct: Sequence[int]) -> list[int]:
+    """Connected parts of the set `free` under the neighbour masks
+    `struct`, ordered by their lowest id."""
+    parts: list[int] = []
+    while free:
+        part = frontier = free & -free
+        while frontier:
+            grown = 0
+            while frontier:  # lowest bit first: frontiers are sparse in `free`
+                low = frontier & -frontier
+                grown |= struct[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & free & ~part
+            part |= frontier
+        parts.append(part)
+        free &= ~part
+    return parts
+
+
+def decompose(model: IlpModel) -> list[Component]:
+    """Split into connected components of the constraint graph.
+
+    Links connect their endpoints and auxiliary variable; unconstrained
+    variables become singleton components. Components are ordered by their
+    smallest parent id, so the output is independent of traversal order.
+    """
+    n = model.num_vars
+    struct = _structure_masks(_conflict_masks(model), model.links)
+    # the parts of the decision variables; each auxiliary variable then
+    # joins its link's part, after the decision ids (auxiliary ids are larger)
+    members_of = [_bits(part) for part in _parts((1 << model.num_decision) - 1, struct)]
+    label = [0] * n
+    for comp, members in enumerate(members_of):
+        for gid in members:
+            label[gid] = comp
+    for a, _b, aux in model.links:
+        label[aux] = label[a]
+        members_of[label[a]].append(aux)
+    local = [0] * n
+    for members in members_of:
+        members.sort()
+        for lid, gid in enumerate(members):
+            local[gid] = lid
+
+    # a row lies inside one component: the component of its first id
+    pairwise: list[list[tuple[int, int]]] = [[] for _ in members_of]
+    groups: list[list[tuple[int, ...]]] = [[] for _ in members_of]
+    links: list[list[tuple[int, int, int]]] = [[] for _ in members_of]
+    bicliques: list[list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = [
+        [] for _ in members_of
+    ]
+    for i, j in model.pairwise:
+        pairwise[label[i]].append((min(local[i], local[j]), max(local[i], local[j])))
+    for group in model.groups:
+        groups[label[group[0]]].append(tuple(sorted(local[i] for i in group)))
+    for a, b, aux in model.links:
+        links[label[a]].append((local[a], local[b], local[aux]))
+    # local ids keep the parent's order, so the sides stay ascending
+    for family, left, right in model.bicliques:
+        bicliques[label[left[0]]].append(
+            (family, tuple([local[i] for i in left]), tuple([local[i] for i in right]))
+        )
+
+    components: list[Component] = []
+    for comp, members in enumerate(members_of):
+        sub = IlpModel._of_valid_rows(
+            coeffs=[model.coeffs[g] for g in members],
+            num_decision=sum(1 for g in members if g < model.num_decision),
+            pairwise=sorted(pairwise[comp]),
+            groups=sorted(groups[comp]),
+            links=sorted(links[comp]),
+            bicliques=bicliques[comp],
+            names=[model.names[g] for g in members],
+        )
+        components.append(Component(model=sub, var_map=tuple(members)))
+    return components
+
+
+class _Timeout(Exception):
+    pass
 
 
 class _ComponentSolver:
@@ -362,9 +453,13 @@ class _ComponentSolver:
     Variable sets are Python int bitmasks (bit i is variable i): the
     conflict and structural neighborhoods of each variable, and the free
     set of every subproblem. Sums over a set run in ascending id order.
-    The upper bound reaches its at-most-one cliques through a
-    per-variable index, so it visits only the cliques that touch a free
-    positive variable, in canonical order.
+    The upper bound reaches its bicliques and at-most-one cliques through
+    a per-variable index, so it visits only those that touch a free
+    positive variable: the bicliques in model order, then the cliques in
+    canonical order. A biclique with one member a side is a pairwise
+    clique, and one over a single bucket is a group, so a model of
+    pairwise rows and groups is bounded the same whichever shape carries
+    them.
     """
 
     def __init__(self, model: IlpModel, deadline: float | None):
@@ -374,16 +469,7 @@ class _ComponentSolver:
         n = model.num_vars
         self.coeff = list(model.coeffs)
 
-        conflict = [0] * n
-        for i, j in model.pairwise:
-            conflict[i] |= 1 << j
-            conflict[j] |= 1 << i
-        for group in model.groups:
-            members = 0
-            for i in group:
-                members |= 1 << i
-            for i in group:
-                conflict[i] |= members & ~(1 << i)
+        conflict = _conflict_masks(model)
         # A link costing more than its cheaper endpoint is never paid by an
         # optimum: dropping that endpoint gains -(c + p) > 0, since other
         # link penalties are <= 0 and the feasible set is downward-closed.
@@ -412,20 +498,28 @@ class _ComponentSolver:
         # ancestor whose endpoint was committed to 1
         self.folded_aux: list[list[int]] = [[] for _ in range(n)]
 
-        # at-most-one cliques in canonical order, for the bound discounts,
-        # and the ascending indices of the cliques each variable is in
-        pairs = sorted(model.pairwise + hardened)
-        self.cliques: list[tuple[int, ...]] = pairs + sorted(model.groups)
+        # the bicliques, then the at-most-one cliques in canonical order,
+        # for the bound discounts, and the ascending indices of those each
+        # variable is in. A biclique is scored exactly, the rows greedily,
+        # so the bicliques go first.
+        pairs = model.pairwise + hardened
+        groups = list(model.groups)
+        bicliques: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for _family, left, right in model.bicliques:
+            if left == right:
+                groups.append(left)
+            elif len(left) == len(right) == 1:
+                pairs.append((min(left[0], right[0]), max(left[0], right[0])))
+            else:
+                bicliques.append((left, right))
+        self.num_bicliques = len(bicliques)
+        self.cliques: list[tuple] = bicliques + sorted(pairs) + sorted(groups)
         self.cliques_at: list[list[int]] = [[] for _ in range(n)]
         for k, clique in enumerate(self.cliques):
-            for i in clique:
+            for i in clique[0] + clique[1] if k < self.num_bicliques else clique:
                 self.cliques_at[i].append(k)
 
-        struct = list(conflict)
-        for a, b, _aux in model.links:
-            struct[a] |= 1 << b
-            struct[b] |= 1 << a
-        self.struct = struct
+        self.struct = _structure_masks(conflict, model.links)
 
     def run(self) -> tuple[frozenset[int], bool]:
         """Best decision-variable selection and whether it is proven optimal."""
@@ -459,21 +553,6 @@ class _ComponentSolver:
                 blocked |= self.conflict[v]
         return frozenset(_bits(taken))
 
-    def _split(self, free: int) -> list[int]:
-        """Connected parts of a free set, ordered by their lowest id."""
-        parts: list[int] = []
-        while free:
-            part = frontier = free & -free
-            while frontier:
-                grown = 0
-                for node in _bits(frontier):
-                    grown |= self.struct[node]
-                frontier = grown & free & ~part
-                part |= frontier
-            parts.append(part)
-            free &= ~part
-        return parts
-
     def _value_and_tiebreak(
         self, selection: Iterable[int]
     ) -> tuple[float, tuple[int, ...]]:
@@ -502,11 +581,14 @@ class _ComponentSolver:
 
     def _upper_bound(self, free: int) -> float:
         """Optimistic value of a free set: positive coefficients, each
-        at-most-one clique discounted to its single best free member, then
-        each active link between two still-undiscounted members, walked in
-        ascending id order, discounted by min(c_a, c_b, -penalty): the pair
-        is worth at most max(c_a, c_b, c_a + c_b + penalty). Other link
-        penalties are nonpositive, so they add nothing."""
+        at-most-one clique discounted to its single best free member, each
+        biclique to its heavier side, max(sum A, sum B) over its free
+        members, then each active link between two still-undiscounted
+        members, walked in ascending id order, discounted by
+        min(c_a, c_b, -penalty): the pair is worth at most
+        max(c_a, c_b, c_a + c_b + penalty). Other link penalties are
+        nonpositive, so they add nothing. Every member is discounted at
+        most once, so the parts bound disjoint sets."""
         coeff = self.coeff
         positive = [i for i in _bits(free) if coeff[i] > 0]
         bound = 0.0
@@ -516,6 +598,15 @@ class _ComponentSolver:
             touched.update(self.cliques_at[i])
         available = set(positive)
         for k in sorted(touched):
+            if k < self.num_bicliques:
+                left, right = self.cliques[k]
+                side_a = [i for i in left if i in available]
+                side_b = [i for i in right if i in available] if side_a else None
+                if side_b:
+                    bound -= min(sum(coeff[i] for i in side_a), sum(coeff[i] for i in side_b))
+                    available.difference_update(side_a)
+                    available.difference_update(side_b)
+                continue
             members = [i for i in self.cliques[k] if i in available]
             if len(members) > 1:
                 total = sum(coeff[i] for i in members)
@@ -610,7 +701,7 @@ class _ComponentSolver:
         self._tick()
         forced, free = self._reduce(free)
         selected: list[int] = list(forced)
-        for part in self._split(free):
+        for part in _parts(free, self.struct):
             selected.extend(self._solve_connected(part))
         return tuple(selected)
 
@@ -702,14 +793,16 @@ def _solve_component(
 
 
 def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> Solution:
-    """Exact maximization; `time_budget_ms` caps each component's search.
+    """Exact maximization; `time_budget_ms` caps the whole solve (0: no cap).
 
-    On budget exhaustion a component falls back to its greedy incumbent,
-    which never scores below zero, and the solution is flagged
-    non-optimal. The all-zeros assignment is always feasible, so a
+    The components share one deadline, largest first. A component whose
+    search runs past it, or that is reached after it, falls back to its
+    greedy incumbent, which never scores below zero, and the solution is
+    flagged non-optimal. The all-zeros assignment is always feasible, so a
     solution always exists.
     """
     start = time.monotonic()
+    deadline = start + time_budget_ms / 1000.0 if time_budget_ms else None
     components = decompose(model)
     assignment = {i: 0 for i in range(model.num_vars)}
     nodes = hardened_links = 0
@@ -724,9 +817,6 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
             )
             comp_optimal = True
         else:
-            deadline = (
-                time.monotonic() + time_budget_ms / 1000.0 if time_budget_ms else None
-            )
             local_selected, comp_optimal, solver = _solve_component(sub, deadline)
             nodes += solver.nodes
             hardened_links += solver.hardened_links
@@ -785,6 +875,12 @@ def brute_force(model: IlpModel) -> Solution:
             for i in group:
                 total_sel += bits[i]
             feasible &= total_sel <= 1
+        for _family, left, right in model.bicliques:
+            in_left = sum(bits[i] for i in left)
+            if left == right:
+                feasible &= in_left <= 1
+            else:
+                feasible &= (in_left == 0) | (sum(bits[i] for i in right) == 0)
         for a, b, aux in model.links:
             feasible &= bits[aux] <= bits[a]
             feasible &= bits[aux] <= bits[b]
@@ -837,10 +933,11 @@ def export_lp(model: IlpModel, path: str | Path) -> None:
     """Write the model as a deterministic LP text file.
 
     Sections are Maximize / Subject To / Binary / End; constraint rows are
-    named c1, c2, ... in model order (pairwise, groups, then the three
-    linking rows per auxiliary variable). Coefficients carry 9 significant
-    digits; zero-coefficient variables are kept binary but skipped in the
-    objective.
+    named c1, c2, ... in model order: the bicliques' pairwise rows, as
+    `generate_hard` writes them (family-major, sorted), then the pairwise
+    rows, the groups, and the three linking rows per auxiliary variable.
+    Coefficients carry 9 significant digits; zero-coefficient variables
+    are kept binary but skipped in the objective.
     """
     lines = ["Maximize"]
     terms: list[str] = []
@@ -862,7 +959,8 @@ def export_lp(model: IlpModel, path: str | Path) -> None:
         row += 1
         return f"c{row}"
 
-    for i, j in model.pairwise:
+    biclique_rows = [(a, b) for _rank, a, b, _k in canonical_rows(model.bicliques)]
+    for i, j in biclique_rows + model.pairwise:
         lines.append(f" {row_name()}: {model.names[i]} + {model.names[j]} <= 1")
     for group in model.groups:
         body = " + ".join(model.names[i] for i in group)

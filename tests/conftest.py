@@ -4,7 +4,13 @@ import pytest
 
 from reljoint.candidates import build_pair_candidates, load_predictions
 from reljoint.clues import TypeClue, mine_clues
-from reljoint.constraints import DecisionVar, HardConstraint, generate_hard, soften
+from reljoint.constraints import (
+    DecisionVar,
+    HardConstraint,
+    generate_blocks,
+    generate_hard,
+    soften,
+)
 from reljoint.ilp import IlpModel, build_model
 from reljoint.kb import KbIndex, Triple, read_triples
 from reljoint.synth import SynthConfig, conflict_schema, generate
@@ -110,15 +116,23 @@ def type_leaks(facts: list[Triple], seed: int, per_relation: int) -> list[Triple
     return leaks
 
 
-def synth_model(tmp_path, seed: int, pairs: int, leaks: int = 0, alpha: float | None = None):
+def synth_model(
+    tmp_path,
+    seed: int,
+    pairs: int,
+    leaks: int = 0,
+    alpha: float | None = None,
+    blocks: bool = False,
+):
     """Model of a seeded conflict world (noise 0.4) under its mined clues;
     `leaks` cross-type facts per relation are added to the KB before
-    mining, and a given `alpha` softens the finite-score rows."""
+    mining, and a given `alpha` softens the finite-score rows. The type
+    constraints are pairwise rows, or bicliques with `blocks`."""
     world = generate(SynthConfig(seed=seed, pairs=pairs, noise=0.4), tmp_path / f"w{seed}_{pairs}")
     facts = read_triples(world.triples_path)
     clues = mine_clues(KbIndex(facts + type_leaks(facts, seed, leaks)))
     candidates = build_pair_candidates(load_predictions(world.predictions_path))
-    vars, hard = generate_hard(candidates, clues)
+    vars, hard = (generate_blocks if blocks else generate_hard)(candidates, clues)
     soft = None
     if alpha is not None:
         hard, soft = soften(vars, hard, alpha)

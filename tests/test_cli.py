@@ -235,3 +235,74 @@ def test_solve_dump_constraints(runner, world, tmp_path):
         census["constraints"]["soft"].values()
     )
     assert len(dump.read_text(encoding="utf-8").splitlines()) == total
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_lp_and_dump_files_match_the_row_model(runner, world, tmp_path, mode):
+    """`solve` and `export-lp` carry bicliques; their files are those of
+    the model built from `generate_hard`'s pairwise rows."""
+    from reljoint import clues as clue_mod
+    from reljoint.candidates import build_pair_candidates, load_predictions
+    from reljoint.constraints import dump_constraints, generate_hard, soften
+    from reljoint.ilp import build_model, export_lp
+
+    mined = tmp_path / "mined.json"
+    invoke(runner, ["mine", "--triples", str(world.triples_path), "--out", str(mined)])
+    loaded = clue_mod.load_clue_file(mined)
+    # every other type clue gets a finite score, which soft mode relaxes
+    scored = {
+        kind: [
+            clue_mod.TypeClue(kind, c.rel_a, c.rel_b, -4.0 if k % 2 else c.k_score, "mined")
+            for k, c in enumerate(getattr(loaded, kind))
+        ]
+        for kind in clue_mod.TYPE_KINDS
+    }
+    clues = clue_mod.ClueSet(**scored, ou=loaded.ou, su=loaded.su)
+    clue_file = tmp_path / "clues.json"
+    clue_mod.save_clue_file(clues, clue_file)
+    flags = ["--predictions", str(world.predictions_path), "--clues", str(clue_file),
+             "--mode", mode, "--alpha", "0.5"]
+    invoke(runner, ["export-lp", *flags, "--out", str(tmp_path / "model.lp")])
+    invoke(runner, ["solve", *flags, "--out-dir", str(tmp_path / "run"),
+                    "--dump-constraints", str(tmp_path / "dump.tsv")])
+
+    vars, rows = generate_hard(
+        build_pair_candidates(load_predictions(world.predictions_path)),
+        clue_mod.load_clue_file(clue_file),
+    )
+    soft = None
+    if mode == "soft":
+        rows, soft = soften(vars, rows, 0.5)
+        assert soft.aux_vars
+    export_lp(build_model(vars, rows, soft), tmp_path / "rows.lp")
+    dump_constraints(tmp_path / "rows.tsv", vars, rows, soft)
+    assert (tmp_path / "model.lp").read_bytes() == (tmp_path / "rows.lp").read_bytes()
+    assert (tmp_path / "dump.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
+
+
+def test_thousand_pair_hub(runner, tmp_path):
+    """One subject in 1000 pairs under a manual sr(ra, rb) clue: one
+    biclique standing for a million rows, solved in a few nodes."""
+    from random import Random
+
+    from reljoint.candidates import MentionPrediction, write_predictions_file
+
+    rng = Random(7)
+    mentions = [
+        MentionPrediction(
+            f"h{i:05d}", "hub", f"obj_{i:05d}", f"h{i:05d}_m0",
+            {"ra": rng.uniform(0.45, 0.7), "rb": rng.uniform(0.1, 0.3)},
+        )
+        for i in range(1000)
+    ]
+    predictions = tmp_path / "predictions.jsonl"
+    write_predictions_file(predictions, mentions)
+    clues = write_lines(tmp_path / "clues.json", ['{"sr": [["ra", "rb"]]}'])
+    invoke(runner, ["solve", "--predictions", str(predictions), "--clues", str(clues),
+                    "--out-dir", str(tmp_path / "run")])
+    census = json.loads((tmp_path / "run" / "census.json").read_text(encoding="utf-8"))
+    assert census["constraints"]["hard"]["sr"] == 1_000_000
+    assert census["solver"]["nodes"] == 3
+    assert census["solver"]["optimal"] is True
+    selected = (tmp_path / "run" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(selected) == 1000 and all(line.split("\t")[2] == "ra" for line in selected)

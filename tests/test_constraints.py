@@ -5,7 +5,18 @@ import pytest
 
 from reljoint.candidates import Candidate, PairCandidates
 from reljoint.clues import NEG_INF, ClueSet, TypeClue, UniquenessClue
-from reljoint.constraints import census, generate_hard, soften
+from reljoint.constraints import (
+    FAMILY_ORDER,
+    ConflictBlock,
+    HardConstraint,
+    build_decision_vars,
+    census,
+    dump_constraints,
+    expand,
+    generate_blocks,
+    generate_hard,
+    soften,
+)
 
 
 def pair(pair_id, subject, object, rels, conf=0.6, max_mention=0.6):
@@ -235,3 +246,151 @@ def test_dump_constraints_file(tmp_path):
     assert all("penalty=" in l for l in soft_lines)
     dump_constraints(tmp_path / "again.tsv", vars, remaining, aug)
     assert (tmp_path / "again.tsv").read_bytes() == out.read_bytes()
+
+
+def naive_join(candidates, clues):
+    """Every two variables tested against the clues, one at a time: the
+    reference the bucket join of `generate_blocks` must reproduce."""
+    vars = build_decision_vars(candidates)
+    rows = []
+    for va in vars:
+        for vb in vars:
+            if va.id < vb.id and va.subject == vb.subject:
+                clue = clues.sr_clue(va.relation, vb.relation)
+                if clue is not None:
+                    rows.append(HardConstraint("sr", (va.id, vb.id), clue))
+            if va.id < vb.id and va.object == vb.object:
+                clue = clues.ro_clue(va.relation, vb.relation)
+                if clue is not None:
+                    rows.append(HardConstraint("ro", (va.id, vb.id), clue))
+            if va.object == vb.subject and va.pair_id != vb.pair_id:
+                clue = clues.rer_clue(va.relation, vb.relation)
+                if clue is not None:
+                    rows.append(HardConstraint("rer", (va.id, vb.id), clue))
+    for family, slot, lookup in (
+        ("ou", "subject", clues.ou_clue),
+        ("su", "object", clues.su_clue),
+    ):
+        for va in vars:
+            clue = lookup(va.relation)
+            members = tuple(
+                v.id
+                for v in vars
+                if v.relation == va.relation and getattr(v, slot) == getattr(va, slot)
+            )
+            if clue is not None and len(members) > 1 and members[0] == va.id:
+                rows.append(HardConstraint(family, members, clue))
+    return vars, sorted(rows, key=lambda c: (FAMILY_ORDER[c.family], c.var_ids))
+
+
+def random_world(rng):
+    """Candidates over a few entities (self-loop pairs included) and clues
+    with finite and -inf scores, same-relation clues and both directions
+    of `rer`."""
+    entities = [f"e{i}" for i in range(rng.randint(2, 5))]
+    rels = ["r1", "r2", "r3", "r4"]
+    candidates = [
+        pair(
+            f"p{i:02d}",
+            rng.choice(entities),
+            rng.choice(entities),
+            rng.sample(rels, rng.randint(1, 3)),
+        )
+        for i in range(rng.randint(3, 16))
+    ]
+
+    def score():
+        return rng.choice([NEG_INF, round(rng.uniform(-6.0, -3.1), 3)])
+
+    def type_clues(kind, symmetric):
+        keys = {
+            (a, b) for a in rels for b in rels if (a <= b or not symmetric) and rng.random() < 0.35
+        }
+        return [TypeClue(kind, a, b, score(), "mined") for a, b in sorted(keys)]
+
+    clues = ClueSet(
+        sr=type_clues("sr", True),
+        ro=type_clues("ro", True),
+        rer=type_clues("rer", False),
+        ou=[UniquenessClue("ou", r) for r in rels if rng.random() < 0.3],
+        su=[UniquenessClue("su", r) for r in rels if rng.random() < 0.3],
+    )
+    return candidates, clues
+
+
+class TestBlocks:
+    """`generate_blocks` is the only join; `generate_hard`, `census`,
+    `soften` and `dump_constraints` see its blocks as the pairwise rows
+    they stand for."""
+
+    def test_rows_match_the_naive_join(self, rng):
+        for trial in range(300):
+            candidates, clues = random_world(rng)
+            assert generate_hard(candidates, clues) == naive_join(candidates, clues), trial
+
+    def test_census_and_soften_of_blocks_match_rows(self, rng, tmp_path):
+        for trial in range(150):
+            candidates, clues = random_world(rng)
+            vars, blocks = generate_blocks(candidates, clues)
+            _, rows = generate_hard(candidates, clues)
+            assert sum(isinstance(c, ConflictBlock) for c in blocks) <= len(rows)
+            assert census(blocks) == census(rows), trial
+            alpha = rng.choice([0.0, 0.15, 1.0])
+            remaining_blocks, soft_blocks = soften(vars, blocks, alpha)
+            remaining_rows, soft_rows = soften(vars, rows, alpha)
+            assert soft_blocks == soft_rows, trial
+            assert expand(remaining_blocks) == remaining_rows, trial
+            assert census(remaining_blocks, soft_blocks) == census(remaining_rows, soft_rows)
+            assert all(
+                not math.isfinite(c.clue.k_score)
+                for c in remaining_blocks
+                if isinstance(c, ConflictBlock)
+            )
+            dump_constraints(tmp_path / "blocks.tsv", vars, remaining_blocks, soft_blocks)
+            dump_constraints(tmp_path / "rows.tsv", vars, remaining_rows, soft_rows)
+            assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
+
+    def test_hub_clue_is_one_block(self):
+        candidates = [pair(f"p{i}", "hub", f"o{i}", ["ra", "rb"]) for i in range(4)]
+        clues = ClueSet(sr=[TypeClue("sr", "ra", "rb")])
+        vars, blocks = generate_blocks(candidates, clues)
+        ids = var_key(vars)
+        assert blocks == [
+            ConflictBlock(
+                "sr",
+                clues.sr[0],
+                tuple(ids[(f"p{i}", "ra")] for i in range(4)),
+                tuple(ids[(f"p{i}", "rb")] for i in range(4)),
+            )
+        ]
+        # each pair's own ra/rb join is one of the 16 rows
+        assert census(blocks)["hard"]["sr"] == 16
+
+    def test_same_relation_clue_counts_distinct_pairs(self):
+        candidates = [pair(f"p{i}", "hub", f"o{i}", ["r1"]) for i in range(5)]
+        clues = ClueSet(sr=[TypeClue("sr", "r1", "r1")])
+        _, blocks = generate_blocks(candidates, clues)
+        assert [(b.left, b.right) for b in blocks] == [((0, 1, 2, 3, 4),) * 2]
+        assert census(blocks)["hard"]["sr"] == 10
+        assert [c.var_ids for c in expand(blocks)] == [
+            (i, j) for i in range(5) for j in range(i + 1, 5)
+        ]
+
+    def test_rer_block_leaves_out_the_self_loop_join(self):
+        candidates = [
+            pair("p1", "x", "loop", ["r1"]),
+            pair("p2", "loop", "loop", ["r1", "r2"]),
+            pair("p3", "loop", "y", ["r2"]),
+        ]
+        clues = ClueSet(rer=[TypeClue("rer", "r1", "r2")])
+        vars, blocks = generate_blocks(candidates, clues)
+        ids = var_key(vars)
+        rows = [c.var_ids for c in expand(blocks)]
+        assert (ids[("p2", "r1")], ids[("p2", "r2")]) not in rows
+        assert sorted(rows) == sorted(
+            [
+                (ids[("p1", "r1")], ids[("p2", "r2")]),
+                (ids[("p1", "r1")], ids[("p3", "r2")]),
+                (ids[("p2", "r1")], ids[("p3", "r2")]),
+            ]
+        )

@@ -6,7 +6,14 @@ import pytest
 
 from reljoint.candidates import MentionPrediction, build_pair_candidates
 from reljoint.clues import ClueSet, TypeClue
-from reljoint.constraints import DecisionVar, HardConstraint, generate_hard, soften
+from reljoint.constraints import (
+    FAMILY_ORDER,
+    DecisionVar,
+    HardConstraint,
+    generate_blocks,
+    generate_hard,
+    soften,
+)
 from reljoint.ilp import (
     IlpModel,
     ModelError,
@@ -192,9 +199,10 @@ class TestSolve:
             assert again.objective_value == first.objective_value
 
 
-def mixed_hub_model(pairs: int, seed: int) -> IlpModel:
+def mixed_hub_model(pairs: int, seed: int, blocks: bool = False) -> IlpModel:
     """One subject in every pair, candidates ra and rb, an sr(ra, rb) clue:
-    even pairs' mentions prefer ra, odd pairs' prefer rb."""
+    even pairs' mentions prefer ra, odd pairs' prefer rb. The clue is
+    pairwise rows, or one biclique with `blocks`."""
     rng = random.Random(f"hub-{seed}")
     mentions = {}
     for i in range(pairs):
@@ -207,7 +215,8 @@ def mixed_hub_model(pairs: int, seed: int) -> IlpModel:
                 MentionPrediction(pair_id, "hub", f"obj_{i:05d}", f"{pair_id}_m{j}", scores)
             )
     clues = ClueSet(sr=[TypeClue("sr", "ra", "rb")])
-    return build_model(*generate_hard(build_pair_candidates(mentions), clues))
+    generate = generate_blocks if blocks else generate_hard
+    return build_model(*generate(build_pair_candidates(mentions), clues))
 
 
 class TestPinnedSearch:
@@ -420,3 +429,166 @@ class TestExportLp:
         path = tmp_path / "san.lp"
         export_lp(model, path)
         assert "d_p_1_rel_x" in path.read_text(encoding="utf-8")
+
+
+def expanded(model: IlpModel) -> IlpModel:
+    """The same model with each biclique written out as pairwise rows, in
+    the order `generate_hard` gives them, ahead of the pairwise rows."""
+    rows = []
+    for family, left, right in model.bicliques:
+        if left == right:
+            pairs = itertools.combinations(left, 2)
+        elif family == "rer":
+            pairs = itertools.product(left, right)
+        else:
+            pairs = ((min(a, b), max(a, b)) for a, b in itertools.product(left, right))
+        rows += [(FAMILY_ORDER[family], row) for row in pairs]
+    return IlpModel(
+        coeffs=list(model.coeffs),
+        num_decision=model.num_decision,
+        pairwise=[row for _rank, row in sorted(rows)] + list(model.pairwise),
+        groups=list(model.groups),
+        links=list(model.links),
+        names=list(model.names),
+    )
+
+
+def random_block_model(rng: random.Random) -> IlpModel:
+    """`random_model` plus bicliques of every shape: disjoint sides of
+    one or more members, and one side standing for a whole bucket."""
+    base = random_model(rng, min_decision=4, max_decision=12, with_links=True, max_total=22)
+    n = base.num_decision
+    bicliques = []
+    for _ in range(rng.randint(1, 4)):
+        members = rng.sample(range(n), rng.randint(2, min(n, 7)))
+        family = rng.choice(["sr", "ro", "rer"])
+        if rng.random() < 0.2:
+            bicliques.append((family, tuple(sorted(members)), tuple(sorted(members))))
+        else:
+            cut = rng.randint(1, len(members) - 1)
+            bicliques.append((family, tuple(sorted(members[:cut])), tuple(sorted(members[cut:]))))
+    return IlpModel(
+        coeffs=base.coeffs,
+        num_decision=n,
+        pairwise=base.pairwise,
+        groups=base.groups,
+        links=base.links,
+        bicliques=bicliques,
+    )
+
+
+class TestBicliques:
+    """A biclique is the set of pairwise rows it stands for, to the solver,
+    the oracle, the feasibility check, the decomposition and the LP file."""
+
+    def test_matches_brute_force_and_its_rows(self, rng):
+        for trial in range(150):
+            model = random_block_model(rng)
+            rows = expanded(model)
+            solution = solve(model)
+            oracle = brute_force(model)
+            assert oracle.assignment == brute_force(rows).assignment, trial
+            assert solution.objective_value == oracle.objective_value, trial
+            assert solution.selected() == oracle.selected(), trial
+            assert solve(rows).selected() == solution.selected(), trial
+            n = model.num_decision
+            only_blocks = IlpModel(coeffs=model.coeffs[:n], num_decision=n, bicliques=model.bicliques)
+            for _ in range(20):
+                assignment = {i: int(rng.random() < 0.3) for i in range(n)}
+                assert bool(check_assignment(only_blocks, assignment)) == bool(
+                    check_assignment(expanded(only_blocks), assignment)
+                ), trial
+
+    def test_decompose_keeps_bicliques_inside_components(self, rng):
+        for trial in range(40):
+            model = random_block_model(rng)
+            components = decompose(model)
+            by_rows = decompose(expanded(model))
+            assert [c.var_map for c in components] == [c.var_map for c in by_rows]
+            kept = 0
+            for component in components:
+                back = component.var_map
+                for family, left, right in component.model.bicliques:
+                    parent = (family, tuple(back[i] for i in left), tuple(back[i] for i in right))
+                    assert parent in model.bicliques
+                    kept += 1
+            assert kept == len(model.bicliques), trial
+
+    def test_export_writes_every_row(self, tmp_path, rng):
+        model = IlpModel(
+            coeffs=[1.0, 2.0, 3.0, 4.0],
+            num_decision=4,
+            pairwise=[(0, 1)],
+            bicliques=[("rer", (3,), (0, 1)), ("sr", (1, 2), (0, 3))],
+        )
+        export_lp(model, tmp_path / "blocks.lp")
+        text = (tmp_path / "blocks.lp").read_text(encoding="utf-8")
+        assert text.split("Subject To\n")[1].split("Binary\n")[0] == (
+            " c1: x0 + x1 <= 1\n"
+            " c2: x0 + x2 <= 1\n"
+            " c3: x1 + x3 <= 1\n"
+            " c4: x2 + x3 <= 1\n"
+            " c5: x3 + x0 <= 1\n"
+            " c6: x3 + x1 <= 1\n"
+            " c7: x0 + x1 <= 1\n"
+        )
+        for trial in range(30):
+            model = random_block_model(rng)
+            export_lp(model, tmp_path / "blocks.lp")
+            export_lp(expanded(model), tmp_path / "rows.lp")
+            assert (tmp_path / "blocks.lp").read_bytes() == (tmp_path / "rows.lp").read_bytes()
+
+    @pytest.mark.parametrize(
+        "left, right, family",
+        [((0, 1), (1, 2), "sr"), ((1, 0), (2,), "ro"), ((0,), (), "sr"), ((0,), (3,), "sr"),
+         ((0,), (0,), "sr"), ((0,), (1,), "ou")],
+    )
+    def test_malformed_biclique_rejected(self, left, right, family):
+        with pytest.raises(ModelError):
+            IlpModel(
+                coeffs=[1.0, 1.0, 1.0, -0.5],
+                num_decision=3,
+                links=[(0, 1, 3)],
+                bicliques=[(family, left, right)],
+            )
+
+
+@pytest.mark.parametrize(
+    "seed, pairs, leaks, alpha",
+    [(7, 300, 0, None), (3, 800, 0, None), (7, 1000, 4, 1.0), (3, 500, 4, 0.15)],
+    ids=["hard-300", "hard-800", "leaky-soft", "leaky-soft-cheap-penalties"],
+)
+def test_block_and_row_worlds_agree(tmp_path, seed, pairs, leaks, alpha):
+    rows = synth_model(tmp_path, seed, pairs, leaks=leaks, alpha=alpha)
+    blocks = synth_model(tmp_path, seed, pairs, leaks=leaks, alpha=alpha, blocks=True)
+    assert blocks.bicliques and not rows.bicliques
+    assert (blocks.coeffs, blocks.links, blocks.names) == (rows.coeffs, rows.links, rows.names)
+    by_rows, by_blocks = solve(rows), solve(blocks)
+    assert by_blocks.optimal and by_rows.optimal
+    assert by_blocks.selected() == by_rows.selected()
+    assert by_blocks.objective_value == by_rows.objective_value
+    assert by_blocks.stats.components == by_rows.stats.components
+    assert check_assignment(rows, by_blocks.assignment) == []
+    assert check_assignment(blocks, by_rows.assignment) == []
+
+
+@pytest.mark.parametrize("pairs", [40, 80])
+def test_mixed_hub_blocks_agree_with_rows(pairs):
+    blocks = mixed_hub_model(pairs, seed=7, blocks=True)
+    assert len(blocks.bicliques) == 1 and not blocks.pairwise
+    by_rows, by_blocks = solve(mixed_hub_model(pairs, seed=7)), solve(blocks)
+    assert by_blocks.optimal
+    assert by_blocks.selected() == by_rows.selected()
+    assert by_blocks.objective_value == by_rows.objective_value
+    # the bound scores the hub's one biclique exactly, at its heavier side
+    assert by_blocks.stats.nodes <= by_rows.stats.nodes
+
+
+def test_time_budget_covers_the_whole_solve(tmp_path):
+    # unbudgeted, this world's 318-variable component takes seconds
+    model = synth_model(tmp_path, 7, 1000, leaks=4, alpha=0.1)
+    solution = solve(model, time_budget_ms=200)
+    assert not solution.optimal
+    assert solution.objective_value >= 0
+    assert check_assignment(model, solution.assignment) == []
+    assert solution.stats.wall_ms < 700

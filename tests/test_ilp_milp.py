@@ -1,6 +1,7 @@
 """Differential check of the exact solver against an independent MILP
 solver (HiGHS through scipy) on components too large for brute force."""
 
+import itertools
 import math
 
 import pytest
@@ -26,6 +27,11 @@ def highs_objective(model: IlpModel) -> float:
     for a, b, aux in model.links:
         rows += [[(aux, 1.0), (a, -1.0)], [(aux, 1.0), (b, -1.0)], [(a, 1.0), (b, 1.0), (aux, -1.0)]]
         upper += [0.0, 0.0, 1.0]
+    for _family, left, right in model.bicliques:
+        pairs = itertools.combinations(left, 2) if left == right else itertools.product(left, right)
+        for a, b in pairs:
+            rows.append([(a, 1.0), (b, 1.0)])
+            upper.append(1.0)
     entries = [(r, col, val) for r, terms in enumerate(rows) for col, val in terms]
     r, c, v = zip(*entries)
     matrix = coo_matrix((v, (r, c)), shape=(len(rows), model.num_vars))
@@ -76,6 +82,42 @@ def test_leaky_world_solves_to_optimality(tmp_path, alpha, hardened):
     solution = solve(model)
     assert solution.optimal
     assert (solution.stats.hardened_links, len(model.links)) == (hardened, 4295)
+    assert math.isclose(
+        solution.objective_value, highs_objective(model), rel_tol=1e-9, abs_tol=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, pairs, leaks, alpha",
+    [(1, 1200, 0, None), (3, 700, 4, 1.0), (3, 500, 4, 0.15)],
+    ids=["hard", "soft", "soft-cheap-penalties"],
+)
+def test_block_components_match_highs(tmp_path, seed, pairs, leaks, alpha):
+    """Components whose type constraints are bicliques, against HiGHS on
+    the pairwise rows those stand for."""
+    model = synth_model(tmp_path, seed, pairs, leaks=leaks, alpha=alpha, blocks=True)
+    subs = [c.model for c in decompose(model) if 25 <= c.model.num_vars <= 500]
+    assert len(subs) >= 10
+    assert sum(
+        len(left) * len(right) > 1 for sub in subs for _f, left, right in sub.bicliques
+    ) > 0
+    for sub in subs:
+        solution = solve(sub)
+        assert solution.optimal
+        assert check_assignment(sub, solution.assignment) == []
+        assert math.isclose(
+            solution.objective_value, highs_objective(sub), rel_tol=1e-9, abs_tol=1e-9
+        )
+
+
+def test_mixed_hub_block_matches_highs():
+    """A hub whose rb side wins: the search excludes ra variables one by
+    one, bounding each step with the biclique."""
+    from test_ilp import mixed_hub_model
+
+    model = mixed_hub_model(50, seed=7, blocks=True)
+    solution = solve(model)
+    assert solution.optimal
     assert math.isclose(
         solution.objective_value, highs_objective(model), rel_tol=1e-9, abs_tol=1e-9
     )
