@@ -59,7 +59,7 @@ from .ilp import (
     selection_objective,
     solve,
 )
-from .kb import KbIndex, Triple, argument_sets, load_triples, read_triples
+from .kb import KbIndex, Triple, load_triples, read_triples
 from .synth import GeneratedWorld, RelationSpec, SynthConfig, generate
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ its two endpoints. That restriction buys an exact, deterministic solver:
 the constraint graph is decomposed into connected components, and each
 component is searched by depth-first branch and bound that re-splits the
 remaining free variables after every branch, with an upper bound
-tightened by the at-most-one cliques and the bicliques for pruning. A
+tightened by the at-most-one cliques and the bicliques for pruning. The
+search runs on an explicit stack, so any depth works under the default
+recursion limit, on the caller's thread. A
 biclique costs the solver, the oracle and the feasibility check time in
 its number of members, not in its number of rows.
 
@@ -36,12 +38,10 @@ from __future__ import annotations
 
 import math
 import re
-import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ DEFAULT_TIME_BUDGET_MS = 60_000
 TIE_EPS = 1e-9
 
 _CHUNK_BITS = 18  # brute-force enumeration block size (2**18 masks)
-_THREAD_STACK_THRESHOLD = 1200  # components above this solve on a big-stack thread
 
 
 class ModelError(ValueError):
@@ -432,6 +431,9 @@ class _Timeout(Exception):
     pass
 
 
+_Step = Generator["_Step", tuple[int, ...], tuple[int, ...]]
+
+
 class _ComponentSolver:
     """Exact search over one connected component.
 
@@ -442,7 +444,11 @@ class _ComponentSolver:
     (run to fixpoint). What remains is re-split into connected parts and
     searched by branching on the best-connected variable, so components
     shatter quickly. Committing a variable to 1 folds its link penalties
-    into the partners' coefficients; the recursion solves what is left.
+    into the partners' coefficients; the search solves what is left.
+
+    The steps `_solve_free` and `_solve_connected` are generators that
+    yield their subproblems' steps; `_search` runs them on an explicit
+    stack, so no depth needs a recursion limit or a thread of its own.
 
     A link (a, b, aux) with coeff[aux] + min(coeff[a], coeff[b]) < 0 is
     hardened on construction: it becomes a conflict edge and a pairwise
@@ -525,9 +531,30 @@ class _ComponentSolver:
         """Best decision-variable selection and whether it is proven optimal."""
         free = (1 << self.model.num_decision) - 1
         try:
-            return frozenset(self._solve_free(free)), True
+            return frozenset(self._search(self._solve_free(free))), True
         except _Timeout:
+            # the abandoned steps never unfold their links: greedy from the root
+            self.coeff = list(self.model.coeffs)
+            self.link_active = [True] * len(self.link_active)
+            self.folded_aux = [[] for _ in self.folded_aux]
             return self._greedy(free), False
+
+    @staticmethod
+    def _search(root: _Step) -> tuple[int, ...]:
+        """Run a step to its selection on an explicit stack: each yielded
+        child is pushed, and its selection is sent back to its parent."""
+        stack = [root]
+        result = None
+        while stack:
+            try:
+                child = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(child)
+                result = None
+        return result
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -695,17 +722,17 @@ class _ComponentSolver:
                         changed = True
         return forced, remaining
 
-    def _solve_free(self, free: int) -> tuple[int, ...]:
+    def _solve_free(self, free: int) -> _Step:
         if not free:
             return ()
         self._tick()
         forced, free = self._reduce(free)
         selected: list[int] = list(forced)
         for part in _parts(free, self.struct):
-            selected.extend(self._solve_connected(part))
+            selected.extend((yield self._solve_connected(part)))
         return tuple(selected)
 
-    def _solve_connected(self, free: int) -> tuple[int, ...]:
+    def _solve_connected(self, free: int) -> _Step:
         self._tick()
         if not free & (free - 1):
             v = free.bit_length() - 1
@@ -723,10 +750,8 @@ class _ComponentSolver:
         if self.coeff[v] >= 0:
             rest = free & ~(vbit | self.conflict[v])
             undo = self._fold_links(v, rest)
-            try:
-                sub = self._solve_free(rest)
-            finally:
-                self._unfold_links(undo)
+            sub = yield self._solve_free(rest)
+            self._unfold_links(undo)
             include = (v,) + sub
             value, tiebreak = self._value_and_tiebreak(include)
             best = (value, tiebreak, include)
@@ -734,7 +759,7 @@ class _ComponentSolver:
         rest0 = free & ~vbit
         explore = best is None or self._upper_bound(rest0) >= best[0] - TIE_EPS
         if explore:
-            sub0 = self._solve_free(rest0)
+            sub0 = yield self._solve_free(rest0)
             value0, tiebreak0 = self._value_and_tiebreak(sub0)
             if best is None or value0 > best[0] or (value0 == best[0] and tiebreak0 < best[1]):
                 best = (value0, tiebreak0, sub0)
@@ -759,37 +784,6 @@ class _ComponentSolver:
             self.coeff[partner] = old_coeff
             self.link_active[idx] = True
             self.folded_aux[partner].pop()
-
-
-def _solve_component(
-    sub: IlpModel, deadline: float | None
-) -> tuple[frozenset[int], bool, _ComponentSolver]:
-    solver = _ComponentSolver(sub, deadline)
-    needed = 6 * sub.num_vars + 2000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    if sub.num_vars > _THREAD_STACK_THRESHOLD:
-        result: dict = {}
-
-        def runner() -> None:
-            try:
-                result["value"] = solver.run()
-            except BaseException as exc:  # propagate to caller
-                result["error"] = exc
-
-        old_stack = threading.stack_size(256 * 1024 * 1024)
-        try:
-            worker = threading.Thread(target=runner, name="reljoint-solver")
-            worker.start()
-            worker.join()
-        finally:
-            threading.stack_size(old_stack)
-        if "error" in result:
-            raise result["error"]
-        selection, optimal = result["value"]
-    else:
-        selection, optimal = solver.run()
-    return selection, optimal, solver
 
 
 def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> Solution:
@@ -817,7 +811,8 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
             )
             comp_optimal = True
         else:
-            local_selected, comp_optimal, solver = _solve_component(sub, deadline)
+            solver = _ComponentSolver(sub, deadline)
+            local_selected, comp_optimal = solver.run()
             nodes += solver.nodes
             hardened_links += solver.hardened_links
         for local in local_selected:

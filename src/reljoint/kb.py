@@ -146,7 +146,3 @@ def load_triples(path: str | Path) -> KbIndex:
     """Read a triple file and build the fully indexed store."""
     return KbIndex(read_triples(path))
 
-
-def argument_sets(kb: KbIndex, relation: str) -> tuple[frozenset[str], frozenset[str]]:
-    """The (subject set, object set) of a relation; both empty if unseen."""
-    return kb.subjects(relation), kb.objects(relation)

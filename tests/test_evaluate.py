@@ -1,7 +1,15 @@
+from collections import defaultdict
+
 import pytest
 
-from reljoint.candidates import Candidate, MentionPrediction, PairCandidates
-from reljoint.clues import ClueSet, TypeClue, UniquenessClue
+from reljoint.candidates import (
+    Candidate,
+    MentionPrediction,
+    PairCandidates,
+    build_pair_candidates,
+    load_predictions,
+)
+from reljoint.clues import ClueSet, TypeClue, UniquenessClue, mine_clues
 from reljoint.constraints import generate_hard
 from reljoint.evaluate import (
     RankedPrediction,
@@ -16,6 +24,10 @@ from reljoint.evaluate import (
     write_ranked_predictions,
 )
 from reljoint.ilp import build_model, check_assignment, solve
+from reljoint.kb import load_triples
+from reljoint.synth import SynthConfig, generate
+
+from test_constraints import random_world
 
 
 def mention(pair_id, mention_id, scores, subject="s", object="o"):
@@ -142,6 +154,58 @@ class TestRuleBased:
         optimum = solve(model).objective_value
         assert total_confidence(kept) <= optimum + 1e-9
 
+
+
+def generator_greedy(candidates, clues):
+    """The rule baseline's walk, (-conf, pair_id, relation) order, with its
+    clashes read off the rows of the constraint generator."""
+    vars, rows = generate_hard(candidates, clues)
+    conf = {(p.pair_id, rel): c.conf for p in candidates for rel, c in p.candidates.items()}
+    rows_at = defaultdict(list)
+    for row in rows:
+        for i in row.var_ids:
+            rows_at[i].append(row.var_ids)
+    kept = set()
+    for v in sorted(vars, key=lambda v: (-conf[v.pair_id, v.relation], v.pair_id, v.relation)):
+        if not any(j in kept for ids in rows_at[v.id] for j in ids):
+            kept.add(v.id)
+    return sorted((vars[i].pair_id, vars[i].relation) for i in kept)
+
+
+def rule_kept(candidates, clues):
+    return sorted((p.pair_id, p.relation) for p in rule_based(candidates, clues))
+
+
+class TestRuleMatchesGenerator:
+    """`rule_based` clashes exactly where `generate_hard` writes a row."""
+
+    def test_random_worlds(self, rng):
+        for trial in range(1000):
+            world, clues = random_world(rng)
+            # varied confidences, with ties, so the walk order matters
+            candidates = [
+                PairCandidates(
+                    p.pair_id,
+                    p.subject,
+                    p.object,
+                    {
+                        rel: Candidate(conf, conf, c.supporting_mentions)
+                        for rel, c in p.candidates.items()
+                        for conf in [rng.choice([0.2, 0.4, 0.6, 0.8])]
+                    },
+                )
+                for p in world
+            ]
+            assert rule_kept(candidates, clues) == generator_greedy(candidates, clues), trial
+
+    @pytest.mark.parametrize("seed", [7, 5, 3])
+    def test_synth_worlds(self, tmp_path, seed):
+        world = generate(SynthConfig(seed=seed, pairs=1000, noise=0.4), tmp_path)
+        clues = mine_clues(load_triples(world.triples_path))
+        candidates = build_pair_candidates(load_predictions(world.predictions_path))
+        kept = rule_kept(candidates, clues)
+        assert kept == generator_greedy(candidates, clues)
+        assert len(kept) < sum(len(p.candidates) for p in candidates)
 
 class TestPrCurve:
     def test_all_correct_half_recall(self):

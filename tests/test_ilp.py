@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from reljoint.ilp import (
     IlpModel,
     ModelError,
     _ComponentSolver,
+    _Timeout,
     brute_force,
     build_model,
     check_assignment,
@@ -592,3 +595,44 @@ def test_time_budget_covers_the_whole_solve(tmp_path):
     assert solution.objective_value >= 0
     assert check_assignment(model, solution.assignment) == []
     assert solution.stats.wall_ms < 700
+
+
+def test_search_depth_needs_no_recursion_limit():
+    # the search goes 44 `_solve_free` levels deep on this hub
+    model = mixed_hub_model(50, seed=7, blocks=True)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        limit = sys.getrecursionlimit()
+        solution = solve(model)
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert solution.optimal
+    assert solution.stats.nodes == 130
+
+
+def test_timeout_mid_search_falls_back_from_the_root(tmp_path):
+    model = synth_model(tmp_path, 7, 1000, leaks=4, alpha=0.1, blocks=True)
+    sub = max((c.model for c in decompose(model)), key=lambda m: m.num_vars)
+    assert (sub.num_vars, len(sub.links)) == (318, 220)
+    root_greedy, optimal = _ComponentSolver(sub, deadline=time.monotonic() - 1).run()
+    assert not optimal
+    for after in (5, 50, 400):
+        solver = _ComponentSolver(sub, deadline=None)
+        folded = []
+
+        def tick():  # the clock runs out on node `after`
+            solver.nodes += 1
+            if solver.nodes == after:
+                folded.append(solver.link_active.count(False))
+                raise _Timeout
+
+        solver._tick = tick
+        selection, optimal = solver.run()
+        assert not optimal
+        assert folded[0] > 0, after  # the timeout struck inside include branches
+        assert solver.coeff == sub.coeffs
+        assert all(solver.link_active)
+        assert not any(solver.folded_aux)
+        assert selection == root_greedy, after

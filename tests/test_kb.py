@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from reljoint.kb import KbIndex, Triple, TripleFileError, argument_sets, load_triples
+from reljoint.kb import KbIndex, Triple, TripleFileError, load_triples
 
 from conftest import write_lines
 
@@ -27,7 +27,6 @@ def test_two_line_hand_count(tmp_path):
     assert kb.objects("capital") == {"Washington", "Paris"}
     assert kb.subject_fanout("capital") == {"USA": 1, "France": 1}
     assert kb.object_fanin("capital") == {"Washington": 1, "Paris": 1}
-    assert argument_sets(kb, "capital") == ({"USA", "France"}, {"Washington", "Paris"})
 
 
 def test_empty_file(tmp_path):
@@ -50,12 +49,12 @@ def test_comments_and_blank_lines_skipped(tmp_path):
 def test_unseen_relation_empty_sets(tmp_path):
     path = write_lines(tmp_path / "t.tsv", ["a\tr1\tb"])
     kb = load_triples(path)
-    assert argument_sets(kb, "nope") == (frozenset(), frozenset())
+    assert (kb.subjects("nope"), kb.objects("nope")) == (frozenset(), frozenset())
 
 
 def test_subject_equals_object():
     kb = KbIndex([Triple("a", "r1", "a")])
-    assert argument_sets(kb, "r1") == ({"a"}, {"a"})
+    assert (kb.subjects("r1"), kb.objects("r1")) == ({"a"}, {"a"})
 
 
 @pytest.mark.parametrize(
