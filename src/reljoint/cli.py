@@ -40,7 +40,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.kappa >= 0:
+        # each float check is written so that NaN fails it
+        if not self.kappa < 0:
             raise ConfigError(f"kappa must be negative, got {self.kappa}")
         if not 0.0 < self.uniq_threshold <= 1.0:
             raise ConfigError(f"uniq_threshold must be in (0,1], got {self.uniq_threshold}")
@@ -48,7 +49,7 @@ class RunConfig:
             raise ConfigError(f"conf_threshold must be in [0,1], got {self.conf_threshold}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.mode not in ("hard", "soft"):
             raise ConfigError(f"mode must be hard or soft, got {self.mode!r}")

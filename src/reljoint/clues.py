@@ -59,7 +59,7 @@ class TypeClue:
             low, high = self.rel_b, self.rel_a
             object.__setattr__(self, "rel_a", low)
             object.__setattr__(self, "rel_b", high)
-        if self.k_score > 0:
+        if not self.k_score <= 0:
             raise ValueError(f"k_score must be <= 0, got {self.k_score}")
 
     @property
@@ -177,7 +177,7 @@ def mine_type_clues(
     are vacuous and never mined. A relation with an empty subject or object
     set is skipped for the affected score only.
     """
-    if kappa >= 0:
+    if not kappa < 0:
         raise ValueError(f"kappa must be negative, got {kappa}")
     sr: list[TypeClue] = []
     ro: list[TypeClue] = []
@@ -250,7 +250,7 @@ def _score_to_json(score: float) -> float | None:
 def _score_from_json(value) -> float:
     if value is None:
         return NEG_INF
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not math.isnan(value):
         return float(value)
     raise ClueFileError(f"invalid k_score value: {value!r}")
 

@@ -22,16 +22,13 @@ paid by an optimum, so the component solver treats it as a conflict
 edge; the links that remain tighten the bound pair by pair.
 
 Determinism contract: fixed inputs give a fixed result whenever the
-search completes within budget, with ties resolved toward the
-lexicographically smallest selected-id set. Objectives are evaluated
-with math.fsum over ascending variable ids, so equal selections always
-yield bit-identical values. One corner of the tie-break is approximate:
-a variable whose effective coefficient is exactly zero creates
-equal-value optima of different sizes, and when such ties span separate
-components the component-wise choice may differ from the whole-model
-lexicographic minimum (decision variables are strictly positive by
-construction, so this needs an exact float collision during penalty
-folding; the returned objective is unaffected either way).
+search completes within budget. Among optima of equal objective the one
+that holds the smallest id on which they differ wins, i.e. the smallest
+`(*sorted selected ids, num_vars)` tuple. That order decides a union by
+its parts, so the winners of separate components and subproblems merge
+into the whole-model winner, and `solve` and `brute_force` agree exactly.
+Objectives are evaluated with math.fsum over ascending variable ids, so
+equal selections always yield bit-identical values.
 """
 
 from __future__ import annotations
@@ -480,7 +477,7 @@ class _ComponentSolver:
         # optimum: dropping that endpoint gains -(c + p) > 0, since other
         # link penalties are <= 0 and the feasible set is downward-closed.
         # It is exactly a conflict edge. The test stays strict: at
-        # equality {a, b, aux} ties {b}, and the tie-break may want it.
+        # equality {a, b, aux} ties {b}, and the tie-break prefers it.
         # links_at[v] = (partner, aux id, aux coefficient, link index)
         self.links_at: list[list[tuple[int, int, float, int]]] = [[] for _ in range(n)]
         self.link_active = [True] * len(model.links)
@@ -500,9 +497,6 @@ class _ComponentSolver:
         self.hardened_links = len(hardened)
         # variables with a link left in the search, for the bound's link walk
         self.linked = linked
-        # aux ids forced onto a variable by links already folded at an
-        # ancestor whose endpoint was committed to 1
-        self.folded_aux: list[list[int]] = [[] for _ in range(n)]
 
         # the bicliques, then the at-most-one cliques in canonical order,
         # for the bound discounts, and the ascending indices of those each
@@ -536,7 +530,6 @@ class _ComponentSolver:
             # the abandoned steps never unfold their links: greedy from the root
             self.coeff = list(self.model.coeffs)
             self.link_active = [True] * len(self.link_active)
-            self.folded_aux = [[] for _ in self.folded_aux]
             return self._greedy(free), False
 
     @staticmethod
@@ -583,28 +576,25 @@ class _ComponentSolver:
     def _value_and_tiebreak(
         self, selection: Iterable[int]
     ) -> tuple[float, tuple[int, ...]]:
-        """Canonical subproblem value and global tie-break tuple.
+        """Canonical subproblem value and tie-break tuple.
 
         The value sums the current (fold-adjusted) coefficients plus the
-        penalties of still-active links internal to the selection; the
-        tie-break tuple additionally carries the auxiliary ids the
-        selection forces, both from active internal links and from links
-        folded by committed ancestors.
+        penalties of still-active links internal to the selection. The
+        tuple is the sorted selection plus a sentinel: auxiliary ids are
+        larger than every decision id and follow from the decision ids, so
+        the decision ids alone decide the smallest differing id.
         """
         sel = set(selection)
         ordered = sorted(sel)
         terms = [self.coeff[i] for i in ordered]
-        aux_ids: list[int] = []
         link_terms: list[tuple[int, float]] = []
         for i in ordered:
-            aux_ids.extend(self.folded_aux[i])
             for partner, aux, aux_coeff, idx in self.links_at[i]:
                 if i < partner and partner in sel and self.link_active[idx]:
                     link_terms.append((aux, aux_coeff))
-                    aux_ids.append(aux)
         link_terms.sort()
         value = math.fsum(terms + [coeff for _aux, coeff in link_terms])
-        return value, tuple(sorted(sel.union(aux_ids)))
+        return value, (*ordered, self.model.num_vars)
 
     def _upper_bound(self, free: int) -> float:
         """Optimistic value of a free set: positive coefficients, each
@@ -662,17 +652,13 @@ class _ComponentSolver:
 
         Run to fixpoint over the current graph:
 
-        * negative coefficient: selecting it strictly loses, so drop
-          (exactly-zero coefficients stay: whether the tie-break set wants
-          them depends on where their id falls, so the search decides);
+        * negative coefficient: selecting it strictly loses, so drop;
         * neighborhood-sum domination: a link-free variable strictly
           outweighing its whole conflict neighborhood is in every optimum,
           so commit it and drop the neighborhood;
         * adjacent domination: a variable whose link-free neighbor covers
           its remaining neighborhood at no smaller weight (ties to the
-          smaller id) is in no tie-preferred optimum, so drop it;
-        * simplicial: a link-free variable strictly heavier than each
-          member of a clique neighborhood is in every optimum.
+          smaller id) is in no tie-preferred optimum, so drop it.
         """
         coeff = self.coeff
         conflict = self.conflict
@@ -712,14 +698,6 @@ class _ComponentSolver:
                 if dominated:
                     remaining &= ~vbit
                     changed = True
-                    continue
-                if link_free and len(neighborhood) <= 8:
-                    if all(coeff[v] > coeff[u] for u in neighborhood) and all(
-                        nmask & ~conflict[u] == 1 << u for u in neighborhood
-                    ):
-                        forced.append(v)
-                        remaining &= ~(vbit | nmask)
-                        changed = True
         return forced, remaining
 
     def _solve_free(self, free: int) -> _Step:
@@ -736,7 +714,7 @@ class _ComponentSolver:
         self._tick()
         if not free & (free - 1):
             v = free.bit_length() - 1
-            return (v,) if self.coeff[v] > 0 else ()
+            return (v,) if self.coeff[v] >= 0 else ()
         # branch where the graph shatters: best-connected first
         v = min(
             _bits(free),
@@ -771,19 +749,17 @@ class _ComponentSolver:
         Afterwards a partner's selection already pays the forced auxiliary
         penalty through its adjusted coefficient."""
         undo: list[tuple[int, float, int]] = []
-        for partner, aux, aux_coeff, idx in self.links_at[v]:
+        for partner, _aux, aux_coeff, idx in self.links_at[v]:
             if self.link_active[idx] and remaining >> partner & 1:
                 undo.append((partner, self.coeff[partner], idx))
                 self.coeff[partner] += aux_coeff
                 self.link_active[idx] = False
-                self.folded_aux[partner].append(aux)
         return undo
 
     def _unfold_links(self, undo: list[tuple[int, float, int]]) -> None:
         for partner, old_coeff, idx in reversed(undo):
             self.coeff[partner] = old_coeff
             self.link_active[idx] = True
-            self.folded_aux[partner].pop()
 
 
 def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> Solution:
@@ -807,7 +783,7 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
         sub = component.model
         if sub.num_vars == 1:
             local_selected: frozenset[int] = (
-                frozenset([0]) if sub.coeffs[0] > 0 else frozenset()
+                frozenset([0]) if sub.coeffs[0] >= 0 else frozenset()
             )
             comp_optimal = True
         else:
@@ -894,23 +870,22 @@ def brute_force(model: IlpModel) -> Solution:
             raise RuntimeError("degenerate tie plateau in brute-force enumeration")
 
     best_value = -math.inf
-    best_tuple: tuple[int, ...] | None = None
+    best_key = (n,)  # tie-break tuple: the sorted selection, then n
     for mask in candidates:
         selected = tuple(i for i in range(n) if mask >> i & 1)
         value = selection_objective(model, selected)
         if value < best_approx - TIE_EPS:
             continue
-        if best_tuple is None or value > best_value or (
-            value == best_value and selected < best_tuple
-        ):
+        key = (*selected, n)
+        if value > best_value or (value == best_value and key < best_key):
             best_value = value
-            best_tuple = selected
+            best_key = key
 
+    best = best_key[:-1]
     assignment = {i: 0 for i in range(n)}
-    if best_tuple:
-        for i in best_tuple:
-            assignment[i] = 1
-    objective = selection_objective(model, best_tuple or ())
+    for i in best:
+        assignment[i] = 1
+    objective = selection_objective(model, best)
     wall_ms = (time.monotonic() - start) * 1000.0
     return Solution(
         assignment=assignment,

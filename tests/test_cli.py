@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import reljoint
 from reljoint.cli import RunConfig, cli, main
 
 from conftest import write_lines
@@ -209,6 +214,41 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("mine", "--kappa"),
+        ("mine", "--uniq-threshold"),
+        ("candidates", "--conf-threshold"),
+        ("solve", "--alpha"),
+    ],
+)
+def test_nan_config_value_exits_1(tmp_path, capsys, command, flag):
+    inputs = {
+        "mine": ["--triples", str(tmp_path / "kb.tsv"), "--out", str(tmp_path / "c.json")],
+        "candidates": ["--predictions", str(tmp_path / "p.jsonl"), "--out", str(tmp_path / "c.json")],
+        "solve": ["--predictions", str(tmp_path / "p.jsonl"), "--out-dir", str(tmp_path / "run")],
+    }
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *inputs[command], flag, "nan"])
+    assert exit_info.value.code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_nan_clue_score_exits_2(tmp_path, capsys, world):
+    clues = tmp_path / "clues.json"
+    clues.write_text('{"sr": [{"relations": ["a", "b"], "k_score": NaN}]}', encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["solve", "--predictions", str(world.predictions_path), "--clues", str(clues),
+             "--out-dir", str(tmp_path / "run"), "--mode", "soft"]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "k_score" in err and "Traceback" not in err
+
+
 def test_run_config_defaults_match_documented_values():
     config = RunConfig()
     assert config.kappa == -3.0
@@ -306,3 +346,46 @@ def test_thousand_pair_hub(runner, tmp_path):
     assert census["solver"]["optimal"] is True
     selected = (tmp_path / "run" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
     assert len(selected) == 1000 and all(line.split("\t")[2] == "ra" for line in selected)
+
+
+_PIPELINE = """
+import sys
+from reljoint.cli import main
+
+out = sys.argv[1]
+main(["synth", "--out-dir", f"{out}/world", "--pairs", "400", "--seed", "7"])
+main(["mine", "--triples", f"{out}/world/triples.tsv", "--out", f"{out}/clues.json",
+      "--kappa", "-0.2"])
+flags = ["--predictions", f"{out}/world/predictions.jsonl", "--clues", f"{out}/clues.json"]
+main(["solve", *flags, "--out-dir", f"{out}/rule", "--method", "rule"])
+main(["solve", *flags, "--out-dir", f"{out}/soft", "--mode", "soft", "--alpha", "0.5"])
+main(["eval", "--predictions", f"{out}/soft/predictions.tsv",
+      "--gold", f"{out}/world/gold.tsv", "--out-dir", f"{out}/eval",
+      "--baseline", f"{out}/rule/predictions.tsv"])
+"""
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    """The whole pipeline, run in interpreters with different string-hash
+    seeds, writes the same bytes: no output depends on set or dict order
+    of hashed keys. Kappa -0.2 gives finite clue scores, so soft mode
+    solves with links."""
+    src = str(Path(reljoint.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", _PIPELINE, str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(
+            {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        )
+    census = json.loads(outputs[0]["soft/census.json"])
+    assert census["aux_variables"] > 0 and census["solver"]["optimal"]
+    assert "eval/diff.json" in outputs[0]
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    for name, data in outputs[0].items():
+        assert data == outputs[1][name], name

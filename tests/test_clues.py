@@ -115,6 +115,8 @@ class TestMineTypeClues:
     def test_kappa_must_be_negative(self):
         with pytest.raises(ValueError):
             mine_type_clues(kb_from(("a", "r", "b")), kappa=0.0)
+        with pytest.raises(ValueError):
+            mine_type_clues(kb_from(("a", "r", "b")), kappa=float("nan"))
 
     def test_agrees_with_brute_force_rescoring(self, rng):
         relations = [f"r{i}" for i in range(6)]
@@ -225,6 +227,15 @@ class TestClueFile:
         path.write_text(json.dumps({"sr": [["solo"]]}), encoding="utf-8")
         with pytest.raises(ClueFileError):
             load_clue_file(path)
+
+    def test_nan_score_rejected(self, tmp_path):
+        # json reads the bare token NaN as a float
+        path = tmp_path / "clues.json"
+        path.write_text('{"sr": [{"relations": ["a", "b"], "k_score": NaN}]}', encoding="utf-8")
+        with pytest.raises(ClueFileError, match="nan"):
+            load_clue_file(path)
+        with pytest.raises(ValueError):
+            TypeClue("sr", "a", "b", float("nan"))
 
     def test_mined_round_trip(self, tmp_path):
         kb = kb_from(

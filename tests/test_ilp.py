@@ -283,6 +283,12 @@ class TestLinkHardening:
         solution = solve(model)
         assert solution.stats.hardened_links == 1
         assert solution.selected() == brute_force(model).selected() == [1]
+        # {0, 1, aux} ties {0}: the cheaper endpoint's id is the larger one,
+        # and the selection holding the smallest differing id (1) still wins
+        model = IlpModel(coeffs=[1.0, 0.5, -0.5], num_decision=2, links=[(0, 1, 2)])
+        solution = solve(model)
+        assert solution.stats.hardened_links == 0
+        assert solution.selected() == brute_force(model).selected() == [0, 1, 2]
 
     def test_boundary_penalties_match_brute_force(self, rng):
         for trial in range(150):
@@ -291,11 +297,7 @@ class TestLinkHardening:
             oracle = brute_force(model)
             assert solution.stats.hardened_links == sides.count("below"), trial
             assert solution.objective_value == oracle.objective_value, trial
-            # a link exactly on the line leaves a zero effective coefficient
-            # after folding: the corner where the component-wise tie-break
-            # is approximate (see the ilp module docstring)
-            if "on" not in sides:
-                assert solution.selected() == oracle.selected(), trial
+            assert solution.selected() == oracle.selected(), trial
 
     def test_timeout_fallback_never_scores_below_zero(self):
         # a 5-clique of links that are not dominated: 1 - 0.9 > 0
@@ -360,6 +362,28 @@ class TestBruteForce:
                 f"!= oracle {oracle.objective_value!r}"
             )
             assert exact.selected() == oracle.selected()
+
+    def test_tie_heavy_models_match_exactly(self, rng):
+        # coefficients and penalties on a half-unit grid make many optima
+        # of equal value, of different sizes, and exact zeros after folding
+        for trial in range(300):
+            n = rng.randint(3, 10)
+            coeffs = [rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)]
+            pairwise = set()
+            for _ in range(rng.randint(0, n)):
+                i, j = rng.sample(range(n), 2)
+                pairwise.add((min(i, j), max(i, j)))
+            links = []
+            for _ in range(rng.randint(0, min(n, 16 - n))):
+                a, b = rng.sample(range(n), 2)
+                coeffs.append(rng.choice([-0.5, -1.0]))
+                links.append((a, b, n + len(links)))
+            model = IlpModel(
+                coeffs=coeffs, num_decision=n, pairwise=sorted(pairwise), links=links
+            )
+            exact, oracle = solve(model), brute_force(model)
+            assert exact.objective_value == oracle.objective_value, trial
+            assert exact.selected() == oracle.selected(), trial
 
     def test_hard_soft_limit(self, rng):
         for _ in range(25):
@@ -634,5 +658,4 @@ def test_timeout_mid_search_falls_back_from_the_root(tmp_path):
         assert folded[0] > 0, after  # the timeout struck inside include branches
         assert solver.coeff == sub.coeffs
         assert all(solver.link_active)
-        assert not any(solver.folded_aux)
         assert selection == root_greedy, after
