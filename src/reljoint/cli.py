@@ -40,7 +40,14 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        # each float check is written so that NaN fails it
+        # a config file may hold any JSON value: check each against its
+        # field's type first (an int passes for a float, a bool for nothing)
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            allowed = (int, float) if kind is float else (kind,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+        # each number check is written so that NaN fails it
         if not self.kappa < 0:
             raise ConfigError(f"kappa must be negative, got {self.kappa}")
         if not 0.0 < self.uniq_threshold <= 1.0:
@@ -55,7 +62,7 @@ class RunConfig:
             raise ConfigError(f"mode must be hard or soft, got {self.mode!r}")
         if self.max_relations < 0:
             raise ConfigError(f"max_relations must be >= 0, got {self.max_relations}")
-        if self.time_budget_ms < 0:
+        if not self.time_budget_ms >= 0:
             raise ConfigError(f"time_budget_ms must be >= 0, got {self.time_budget_ms}")
 
 

@@ -21,13 +21,25 @@ committed. A link whose penalty outweighs its cheaper endpoint is never
 paid by an optimum, so the component solver treats it as a conflict
 edge; the links that remain tighten the bound pair by pair.
 
+Before each branching step the component solver kernelizes: variables
+with the same neighbors (twins) merge into their smallest id, and a
+variable with one neighbor (a pendant) folds into that neighbor's
+weight. After the smaller problem is solved, both are undone and the
+removed variables put back, so a hub's block sides cost one variable each
+and a path is solved without branching.
+
 Determinism contract: fixed inputs give a fixed result whenever the
-search completes within budget. Among optima of equal objective the one
-that holds the smallest id on which they differ wins, i.e. the smallest
-`(*sorted selected ids, num_vars)` tuple. That order decides a union by
-its parts, so the winners of separate components and subproblems merge
-into the whole-model winner, and `solve` and `brute_force` agree exactly.
-Objectives are evaluated with math.fsum over ascending variable ids, so
+search completes within budget. Selections are compared by the exact sum
+of their coefficients and link penalties: where the rounded sums tie,
+math.fsum of their difference decides, so neither merged weights nor
+rounding decide a comparison. Among optima of exactly equal objective the
+one that holds the smallest id on which they differ wins, i.e. the
+smallest `(*sorted selected ids, num_vars)` tuple. That order decides a
+union by its parts, so the winners of separate components and
+subproblems merge into the whole-model winner, and `solve` and
+`brute_force` agree exactly. (The reduction rules still read a link
+penalty folded into its partner's coefficient as the rounded sum.)
+Objectives are reported with math.fsum over ascending variable ids, so
 equal selections always yield bit-identical values.
 """
 
@@ -170,6 +182,9 @@ class SolveStats:
     wall_ms: float = 0.0
     # links the component solvers turned into conflict edges
     hardened_links: int = 0
+    # variables merged into a twin, and pendants folded into a neighbour
+    merged_twins: int = 0
+    folded_pendants: int = 0
 
 
 @dataclass
@@ -429,19 +444,41 @@ class _Timeout(Exception):
 
 
 _Step = Generator["_Step", tuple[int, ...], tuple[int, ...]]
+# a merge or fold to undo: the variable that kept its place, the variables
+# that left, whether they come back when it is selected (twins) or when it
+# is not (a pendant), and its coefficient and weight terms before
+_Undo = tuple[int, tuple[int, ...], bool, float, "list[float] | None"]
+
+
+def _wins_tie(
+    terms: list[float], key: tuple[int, ...], rival_terms: list[float], rival_key: tuple[int, ...]
+) -> bool:
+    """Whether a selection beats a rival of equal fsum value. Exactly
+    rounded sums can tie where the exact sums differ, so the exact
+    difference decides, and the tie-break key only an exact tie."""
+    excess = math.fsum(terms + [-t for t in rival_terms])
+    return excess > 0 or (excess == 0 and key < rival_key)
 
 
 class _ComponentSolver:
     """Exact search over one connected component.
 
-    Every subproblem is first shrunk by a weighted domination rule: a
-    link-free variable whose coefficient strictly outweighs the positive
-    coefficients of its whole conflict neighborhood belongs to every
-    optimal solution, so it is committed and its neighborhood dropped
-    (run to fixpoint). What remains is re-split into connected parts and
-    searched by branching on the best-connected variable, so components
-    shatter quickly. Committing a variable to 1 folds its link penalties
-    into the partners' coefficients; the search solves what is left.
+    Every subproblem is first kernelized. Twin classes merge into one
+    variable each (`_merge_twins`); then `_reduce` runs its rules to
+    fixpoint: weighted domination (a link-free variable strictly
+    outweighing its whole conflict neighborhood is committed and its
+    neighborhood dropped, a variable covered by a heavier neighbor is
+    dropped) and the pendant fold (`_fold_pendants`). Merges and folds
+    change a kept variable's weight and log how to undo that; once the
+    parts are solved, `_unmerge` replays the log newest first, restoring
+    each weight and putting back the twins of a selected representative
+    and the pendant of an unselected neighbor. A changed weight is the
+    exactly rounded sum of the floats it stands for, kept in
+    `merged_terms`, and every comparison that could tie uses those floats.
+    What remains is re-split into connected parts and searched by
+    branching on the best-connected variable, so components shatter
+    quickly. Committing a variable to 1 folds its link penalties into the
+    partners' coefficients; the search solves what is left.
 
     The steps `_solve_free` and `_solve_connected` are generators that
     yield their subproblems' steps; `_search` runs them on an explicit
@@ -450,7 +487,7 @@ class _ComponentSolver:
     A link (a, b, aux) with coeff[aux] + min(coeff[a], coeff[b]) < 0 is
     hardened on construction: it becomes a conflict edge and a pairwise
     clique of the bound, and the search never sees it as a link. Only
-    the remaining links block the domination rules, and the bound
+    the remaining links block the domination and kernel rules, and the bound
     discounts each of them whose endpoints are both still undiscounted.
 
     Variable sets are Python int bitmasks (bit i is variable i): the
@@ -520,6 +557,10 @@ class _ComponentSolver:
                 self.cliques_at[i].append(k)
 
         self.struct = _structure_masks(conflict, model.links)
+        # the exact summands of each weight a twin merge or pendant fold set
+        self.merged_terms: dict[int, list[float]] = {}
+        self.merged_twins = 0
+        self.folded_pendants = 0
 
     def run(self) -> tuple[frozenset[int], bool]:
         """Best decision-variable selection and whether it is proven optimal."""
@@ -527,9 +568,11 @@ class _ComponentSolver:
         try:
             return frozenset(self._search(self._solve_free(free))), True
         except _Timeout:
-            # the abandoned steps never unfold their links: greedy from the root
+            # the abandoned steps never unfold their links or undo their
+            # merges and folds: greedy from the root
             self.coeff = list(self.model.coeffs)
             self.link_active = [True] * len(self.link_active)
+            self.merged_terms = {}
             return self._greedy(free), False
 
     @staticmethod
@@ -573,28 +616,50 @@ class _ComponentSolver:
                 blocked |= self.conflict[v]
         return frozenset(_bits(taken))
 
+    def _terms(self, ids: Iterable[int], within: set[int] | None = None) -> list[float]:
+        """Floats whose exact sum is the current total weight of `ids`:
+        each model coefficient and the link penalties folded into it, or
+        the summands a merge or fold left on it. (A free variable's
+        inactive link was folded into it when its partner was committed.)
+        Given `within`, the set of `ids`, the penalties of the active links
+        between two of them follow too, each once."""
+        coeffs, merged, active = self.model.coeffs, self.merged_terms, self.link_active
+        out: list[float] = []
+        for i in ids:
+            own = merged.get(i)
+            if own is None:
+                out.append(coeffs[i])
+            else:
+                out.extend(own)
+            for partner, _aux, aux_coeff, idx in self.links_at[i]:
+                if not active[idx]:
+                    if own is None:
+                        out.append(aux_coeff)
+                elif within is not None and i < partner and partner in within:
+                    out.append(aux_coeff)
+        return out
+
+    def _excess(self, plus: Iterable[int], minus: Iterable[int]) -> float:
+        """The exactly rounded weight of `plus` minus that of `minus`: its
+        sign is exact even where merged weights round to a tie."""
+        return math.fsum(self._terms(plus) + [-t for t in self._terms(minus)])
+
     def _value_and_tiebreak(
         self, selection: Iterable[int]
-    ) -> tuple[float, tuple[int, ...]]:
-        """Canonical subproblem value and tie-break tuple.
+    ) -> tuple[float, tuple[int, ...], list[float]]:
+        """Canonical subproblem value, tie-break tuple and value terms.
 
-        The value sums the current (fold-adjusted) coefficients plus the
-        penalties of still-active links internal to the selection. The
-        tuple is the sorted selection plus a sentinel: auxiliary ids are
-        larger than every decision id and follow from the decision ids, so
-        the decision ids alone decide the smallest differing id.
+        The terms are the current (fold-adjusted, merged) weights of the
+        selection plus the penalties of still-active links internal to it;
+        the value is their exactly rounded sum. The tuple is the sorted
+        selection plus a sentinel: auxiliary ids are larger than every
+        decision id and follow from the decision ids, so the decision ids
+        alone decide the smallest differing id.
         """
         sel = set(selection)
         ordered = sorted(sel)
-        terms = [self.coeff[i] for i in ordered]
-        link_terms: list[tuple[int, float]] = []
-        for i in ordered:
-            for partner, aux, aux_coeff, idx in self.links_at[i]:
-                if i < partner and partner in sel and self.link_active[idx]:
-                    link_terms.append((aux, aux_coeff))
-        link_terms.sort()
-        value = math.fsum(terms + [coeff for _aux, coeff in link_terms])
-        return value, (*ordered, self.model.num_vars)
+        terms = self._terms(ordered, sel)
+        return math.fsum(terms), (*ordered, self.model.num_vars), terms
 
     def _upper_bound(self, free: int) -> float:
         """Optimistic value of a free set: positive coefficients, each
@@ -647,7 +712,79 @@ class _ComponentSolver:
             for partner, _aux, _coeff, idx in self.links_at[v]
         )
 
-    def _reduce(self, free: int) -> tuple[list[int], int]:
+    def _merge_twins(self, free: int, undo: list[_Undo]) -> int:
+        """Twin merge: link-free, non-negative variables with the same free
+        conflict neighborhood are pairwise non-adjacent, so a tie-preferred
+        optimum holds all of a class or none of it. Each class of two or
+        more becomes its smallest id, weighing the class sum; the rest
+        leave `free`, which is returned. Two selections that differ on a
+        class differ first at its smallest id, so the tie order holds."""
+        coeff, conflict = self.coeff, self.conflict
+        link_free = free & ~self.linked
+        if link_free.bit_count() < 2:
+            return free
+        candidates = [v for v in _bits(link_free) if coeff[v] >= 0]
+        classes: dict[int, list[int]] = {}
+        for v in candidates:
+            classes.setdefault(conflict[v] & free, []).append(v)
+        if len(classes) == len(candidates):
+            return free
+        for members in classes.values():
+            if len(members) > 1:
+                rep, others = members[0], tuple(members[1:])
+                terms = self._terms(members)
+                undo.append((rep, others, True, coeff[rep], self.merged_terms.get(rep)))
+                self.merged_terms[rep] = terms
+                coeff[rep] = math.fsum(terms)
+                for t in others:
+                    free &= ~(1 << t)
+                self.merged_twins += len(others)
+        return free
+
+    def _fold_pendants(self, v: int, remaining: int, undo: list[_Undo]) -> int:
+        """Pendant fold: a link-free v >= 0 whose one neighbor u is
+        link-free, with u < v and c(v) <= c(u), is in a tie-preferred
+        optimum exactly when u is not. Take c(v) off c(u) and drop v; then
+        fold u in turn if that left it such a pendant. Returns what
+        remains. A smaller id u keeps the tie order: selections that
+        differ at v differ at u first."""
+        coeff = self.coeff
+        while True:
+            nmask = self.conflict[v] & remaining
+            u = nmask.bit_length() - 1
+            if (
+                not 0 <= u < v
+                or nmask != 1 << u
+                or coeff[v] > coeff[u]
+                or (coeff[v] == coeff[u] and self._excess([v], [u]) > 0)
+                or self._has_live_link(u, remaining)
+            ):
+                return remaining
+            terms = self._terms([u]) + [-t for t in self._terms([v])]
+            undo.append((u, (v,), False, coeff[u], self.merged_terms.get(u)))
+            self.merged_terms[u] = terms
+            coeff[u] = math.fsum(terms)
+            remaining &= ~(1 << v)
+            self.folded_pendants += 1
+            v = u
+
+    def _unmerge(self, selected: list[int], undo: list[_Undo]) -> tuple[int, ...]:
+        """Undo a subproblem's merges and folds, newest first, and put back
+        the variables they removed: a twin class with its representative,
+        a pendant when its neighbor stays out."""
+        chosen = set(selected)
+        coeff, merged = self.coeff, self.merged_terms
+        for keep, gone, with_keep, old_coeff, old_terms in reversed(undo):
+            coeff[keep] = old_coeff
+            if old_terms is None:
+                del merged[keep]
+            else:
+                merged[keep] = old_terms
+            if (keep in chosen) == with_keep:
+                chosen.update(gone)
+        return tuple(chosen)
+
+    def _reduce(self, free: int, undo: list[_Undo]) -> tuple[list[int], int]:
         """Shrink a subproblem with exactness- and tie-preserving rules.
 
         Run to fixpoint over the current graph:
@@ -658,10 +795,16 @@ class _ComponentSolver:
           so commit it and drop the neighborhood;
         * adjacent domination: a variable whose link-free neighbor covers
           its remaining neighborhood at no smaller weight (ties to the
-          smaller id) is in no tie-preferred optimum, so drop it.
+          smaller id) is in no tie-preferred optimum, so drop it;
+        * pendant fold (`_fold_pendants`), logged to `undo`.
+
+        Weights that `_merge_twins` or a fold set are exactly rounded sums,
+        so a strict comparison of them is exact; where they tie, or a
+        domination sum involves them, their exact summands decide.
         """
         coeff = self.coeff
         conflict = self.conflict
+        merged = self.merged_terms
         remaining = free
         forced: list[int] = []
         changed = True
@@ -679,8 +822,11 @@ class _ComponentSolver:
                 neighborhood = _bits(nmask)
                 link_free = not self._has_live_link(v, remaining)
                 if link_free:
-                    rival = sum(coeff[u] for u in neighborhood if coeff[u] > 0)
-                    if coeff[v] > rival:
+                    rival = math.fsum([coeff[u] for u in neighborhood if coeff[u] > 0])
+                    if coeff[v] > rival and (
+                        not merged
+                        or self._excess([v], [u for u in neighborhood if coeff[u] > 0]) > 0
+                    ):
                         forced.append(v)
                         remaining &= ~(vbit | nmask)
                         changed = True
@@ -688,8 +834,12 @@ class _ComponentSolver:
                 dominated = False
                 outside = remaining & ~(vbit | nmask)
                 for u in neighborhood:
-                    if coeff[u] < coeff[v] or (coeff[u] == coeff[v] and u > v):
+                    if coeff[u] < coeff[v]:
                         continue
+                    if coeff[u] == coeff[v]:
+                        excess = self._excess([u], [v]) if merged else 0.0
+                        if excess < 0 or (excess == 0 and u > v):
+                            continue
                     if self._has_live_link(u, remaining):
                         continue
                     if not conflict[u] & outside:
@@ -698,17 +848,23 @@ class _ComponentSolver:
                 if dominated:
                     remaining &= ~vbit
                     changed = True
+                elif link_free and len(neighborhood) == 1:
+                    folded = self._fold_pendants(v, remaining, undo)
+                    changed = changed or folded != remaining
+                    remaining = folded
         return forced, remaining
 
     def _solve_free(self, free: int) -> _Step:
         if not free:
             return ()
         self._tick()
-        forced, free = self._reduce(free)
+        undo: list[_Undo] = []
+        free = self._merge_twins(free, undo)
+        forced, free = self._reduce(free, undo)
         selected: list[int] = list(forced)
         for part in _parts(free, self.struct):
             selected.extend((yield self._solve_connected(part)))
-        return tuple(selected)
+        return self._unmerge(selected, undo) if undo else tuple(selected)
 
     def _solve_connected(self, free: int) -> _Step:
         self._tick()
@@ -722,7 +878,8 @@ class _ComponentSolver:
         )
         vbit = 1 << v
 
-        best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
+        # (value, tie-break tuple, value terms, selection)
+        best: tuple[float, tuple[int, ...], list[float], tuple[int, ...]] | None = None
         # a strictly negative variable is in no optimum; zero-coefficient
         # ones still branch, since the tie-break may want them selected
         if self.coeff[v] >= 0:
@@ -731,17 +888,20 @@ class _ComponentSolver:
             sub = yield self._solve_free(rest)
             self._unfold_links(undo)
             include = (v,) + sub
-            value, tiebreak = self._value_and_tiebreak(include)
-            best = (value, tiebreak, include)
+            best = (*self._value_and_tiebreak(include), include)
 
         rest0 = free & ~vbit
         explore = best is None or self._upper_bound(rest0) >= best[0] - TIE_EPS
         if explore:
             sub0 = yield self._solve_free(rest0)
-            value0, tiebreak0 = self._value_and_tiebreak(sub0)
-            if best is None or value0 > best[0] or (value0 == best[0] and tiebreak0 < best[1]):
-                best = (value0, tiebreak0, sub0)
-        return best[2]
+            value0, tiebreak0, terms0 = self._value_and_tiebreak(sub0)
+            if (
+                best is None
+                or value0 > best[0]
+                or (value0 == best[0] and _wins_tie(terms0, tiebreak0, best[2], best[1]))
+            ):
+                best = (value0, tiebreak0, terms0, sub0)
+        return best[3]
 
     def _fold_links(self, v: int, remaining: int) -> list[tuple[int, float, int]]:
         """Commit v=1: fold each active link's penalty into its partner.
@@ -775,7 +935,7 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
     deadline = start + time_budget_ms / 1000.0 if time_budget_ms else None
     components = decompose(model)
     assignment = {i: 0 for i in range(model.num_vars)}
-    nodes = hardened_links = 0
+    nodes = hardened_links = merged_twins = folded_pendants = 0
     optimal = True
     # Budget priority goes to the largest components; results merge by id,
     # so the order cannot change the outcome.
@@ -791,6 +951,8 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
             local_selected, comp_optimal = solver.run()
             nodes += solver.nodes
             hardened_links += solver.hardened_links
+            merged_twins += solver.merged_twins
+            folded_pendants += solver.folded_pendants
         for local in local_selected:
             assignment[component.var_map[local]] = 1
         for _a, _b, aux in sub.links:
@@ -814,6 +976,8 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
             components=len(components),
             wall_ms=wall_ms,
             hardened_links=hardened_links,
+            merged_twins=merged_twins,
+            folded_pendants=folded_pendants,
         ),
     )
 
@@ -871,15 +1035,18 @@ def brute_force(model: IlpModel) -> Solution:
 
     best_value = -math.inf
     best_key = (n,)  # tie-break tuple: the sorted selection, then n
+    best_terms: list[float] = []
     for mask in candidates:
         selected = tuple(i for i in range(n) if mask >> i & 1)
-        value = selection_objective(model, selected)
+        terms = [model.coeffs[i] for i in selected]
+        value = math.fsum(terms)
         if value < best_approx - TIE_EPS:
             continue
         key = (*selected, n)
-        if value > best_value or (value == best_value and key < best_key):
-            best_value = value
-            best_key = key
+        if value > best_value or (
+            value == best_value and _wins_tie(terms, key, best_terms, best_key)
+        ):
+            best_value, best_key, best_terms = value, key, terms
 
     best = best_key[:-1]
     assignment = {i: 0 for i in range(n)}

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import reljoint
-from reljoint.cli import RunConfig, cli, main
+from reljoint.cli import ConfigError, RunConfig, cli, main
 
 from conftest import write_lines
 
@@ -236,6 +236,34 @@ def test_nan_config_value_exits_1(tmp_path, capsys, command, flag):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [{"alpha": "x"}, {"top_k": 2.5}, {"time_budget_ms": float("nan")}],
+    ids=["string-alpha", "fractional-top-k", "nan-time-budget"],
+)
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, world, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["solve", "--config", str(config), "--predictions", str(world.predictions_path),
+             "--out-dir", str(tmp_path / "run")]
+        )
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(values)) in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_types():
+    RunConfig(alpha=2, kappa=-1).validate()  # an int stands for a float
+    for bad in ({"alpha": True}, {"top_k": True}, {"mode": 1}, {"seed": 1.0}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            RunConfig(**bad).validate()
+    with pytest.raises(ConfigError, match="time_budget_ms"):
+        RunConfig(time_budget_ms=-1).validate()
+
+
 def test_nan_clue_score_exits_2(tmp_path, capsys, world):
     clues = tmp_path / "clues.json"
     clues.write_text('{"sr": [{"relations": ["a", "b"], "k_score": NaN}]}', encoding="utf-8")
@@ -320,9 +348,10 @@ def test_lp_and_dump_files_match_the_row_model(runner, world, tmp_path, mode):
     assert (tmp_path / "dump.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
 
 
-def test_thousand_pair_hub(runner, tmp_path):
-    """One subject in 1000 pairs under a manual sr(ra, rb) clue: one
-    biclique standing for a million rows, solved in a few nodes."""
+def test_three_thousand_pair_hub(runner, tmp_path):
+    """One subject in 3000 pairs under a manual sr(ra, rb) clue: one
+    biclique standing for nine million rows, whose two sides each merge
+    into one variable, so the solve takes one node."""
     from random import Random
 
     from reljoint.candidates import MentionPrediction, write_predictions_file
@@ -333,7 +362,7 @@ def test_thousand_pair_hub(runner, tmp_path):
             f"h{i:05d}", "hub", f"obj_{i:05d}", f"h{i:05d}_m0",
             {"ra": rng.uniform(0.45, 0.7), "rb": rng.uniform(0.1, 0.3)},
         )
-        for i in range(1000)
+        for i in range(3000)
     ]
     predictions = tmp_path / "predictions.jsonl"
     write_predictions_file(predictions, mentions)
@@ -341,11 +370,11 @@ def test_thousand_pair_hub(runner, tmp_path):
     invoke(runner, ["solve", "--predictions", str(predictions), "--clues", str(clues),
                     "--out-dir", str(tmp_path / "run")])
     census = json.loads((tmp_path / "run" / "census.json").read_text(encoding="utf-8"))
-    assert census["constraints"]["hard"]["sr"] == 1_000_000
-    assert census["solver"]["nodes"] == 3
+    assert census["constraints"]["hard"]["sr"] == 9_000_000
+    assert census["solver"]["nodes"] == 1
     assert census["solver"]["optimal"] is True
     selected = (tmp_path / "run" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
-    assert len(selected) == 1000 and all(line.split("\t")[2] == "ra" for line in selected)
+    assert len(selected) == 3000 and all(line.split("\t")[2] == "ra" for line in selected)
 
 
 _PIPELINE = """

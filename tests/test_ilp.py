@@ -229,20 +229,20 @@ class TestPinnedSearch:
 
     def test_hard_world(self, tmp_path):
         solution = solve(synth_model(tmp_path, seed=7, pairs=300))
-        assert (solution.stats.nodes, solution.stats.components) == (239, 231)
+        assert (solution.stats.nodes, solution.stats.components) == (201, 231)
         assert solution.objective_value == 489.66778178071786
 
     def test_soft_leaky_world(self, tmp_path):
         model = synth_model(tmp_path, seed=7, pairs=150, leaks=4, alpha=1.0)
         assert model.links
         solution = solve(model)
-        assert (solution.stats.nodes, solution.stats.components) == (133, 131)
+        assert (solution.stats.nodes, solution.stats.components) == (113, 131)
         assert solution.stats.hardened_links == len(model.links) == 397
         assert solution.objective_value == 256.262290111018
 
     def test_mixed_preference_hub(self):
         solution = solve(mixed_hub_model(40, seed=7))
-        assert (solution.stats.nodes, solution.stats.components) == (100, 1)
+        assert (solution.stats.nodes, solution.stats.components) == (1, 1)
         assert solution.objective_value == 48.678231748258156
 
 
@@ -266,6 +266,45 @@ def boundary_link_model(rng: random.Random) -> tuple[IlpModel, list[str]]:
         links.append((a, b, n + len(links)))
         sides.append(side)
     return IlpModel(coeffs=coeffs, num_decision=n, pairwise=sorted(pairwise), links=links), sides
+
+
+def kernel_model(rng: random.Random) -> IlpModel:
+    """Random hard model of at most 16 variables with planted twin classes
+    (two to four variables sharing their neighbors, as pairwise rows or a
+    biclique) and pendants (one neighbor each), relabelled at random so
+    that pendants sit on both sides of their neighbor's id. Weights come
+    from a tie-heavy grid whose 0.1, 0.2 and 0.3 make float sums round."""
+    n = rng.randint(3, 16)
+    core = rng.randint(2, max(2, n // 3))
+    edges = {tuple(rng.sample(range(core), 2)) for _ in range(rng.randint(0, 2 * core))}
+    blocks = []
+    k = core
+    while k < n:
+        kind = rng.choice(["twins", "pendant", "other"])
+        if kind == "twins" and n - k >= 2:
+            size = rng.randint(2, min(4, n - k))
+            anchors = rng.sample(range(k), rng.randint(0, min(3, k)))
+            if anchors and rng.random() < 0.5:
+                blocks.append((anchors, range(k, k + size)))
+            else:
+                edges.update((a, t) for a in anchors for t in range(k, k + size))
+            k += size
+        elif kind == "pendant":
+            edges.add((rng.randrange(k), k))
+            k += 1
+        else:
+            edges.update((u, k) for u in rng.sample(range(k), rng.randint(0, min(2, k))))
+            k += 1
+    label = rng.sample(range(n), n)
+    return IlpModel(
+        coeffs=[rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, 1.0]) for _ in range(n)],
+        num_decision=n,
+        pairwise=sorted({tuple(sorted((label[a], label[b]))) for a, b in edges}),
+        bicliques=[
+            ("sr", tuple(sorted(label[a] for a in left)), tuple(sorted(label[t] for t in right)))
+            for left, right in blocks
+        ],
+    )
 
 
 class TestLinkHardening:
@@ -384,6 +423,55 @@ class TestBruteForce:
             exact, oracle = solve(model), brute_force(model)
             assert exact.objective_value == oracle.objective_value, trial
             assert exact.selected() == oracle.selected(), trial
+
+    def test_twins_and_pendants_match_exactly(self, rng):
+        merged = folded = 0
+        for trial in range(2000):
+            model = kernel_model(rng)
+            exact, oracle = solve(model), brute_force(model)
+            assert exact.objective_value == oracle.objective_value, trial
+            assert exact.selected() == oracle.selected(), trial
+            merged += exact.stats.merged_twins
+            folded += exact.stats.folded_pendants
+        assert merged > 1000 and folded > 300
+
+    def test_exact_sums_decide_ties(self):
+        # as floats, 0.1 + 0.2 is exactly above 0.3, but both selections
+        # sum to 1.5 once rounded: the exact sums decide, not the tie-break
+        model = IlpModel(
+            coeffs=[1.0, 0.3, 0.0, 0.2, 0.2, 0.1], num_decision=6, pairwise=[(1, 4), (1, 5)]
+        )
+        assert solve(model).selected() == brute_force(model).selected() == [0, 2, 3, 4, 5]
+        # twin sides {0, 2} and {1, 3} of one block: 0.3 + 0.1 and 0.2 + 0.2
+        # both round to 0.4, and the second is exactly heavier
+        model = IlpModel(
+            coeffs=[0.3, 0.2, 0.1, 0.2], num_decision=4, pairwise=[(0, 1), (0, 3), (1, 2), (2, 3)]
+        )
+        solution = solve(model)
+        assert solution.stats.merged_twins == 2
+        assert solution.selected() == brute_force(model).selected() == [1, 3]
+        # twins {1, 2} weigh exactly as much as 0 and the twins {3, 4}
+        # together, but the rounded weights read 0.30000000000000004 and
+        # 0.3: the domination rule must not commit {1, 2}, and the tie
+        # goes to the selection holding 0
+        model = IlpModel(
+            coeffs=[0.05, 0.1, 0.2, 0.2, 0.05, 0.0],
+            num_decision=6,
+            pairwise=[(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4)],
+        )
+        solution = solve(model)
+        assert solution.stats.merged_twins == 2
+        assert solution.selected() == brute_force(model).selected() == [0, 3, 4]
+        # committing 4 folds the link (4, 1) into 1's coefficient, and
+        # 1.0 - 0.1 rounds up: the exact sums of {1, 3, 4, 7, aux 10} and
+        # {0, 1, 6, 7} tie, and the selection holding 0 wins
+        model = IlpModel(
+            coeffs=[0.1, 1.0, 0.3, 0.2, 1.0, 0.1, 1.0, 0.3, -0.2, -0.5, -0.1],
+            num_decision=8,
+            pairwise=[(0, 3), (0, 4), (0, 5), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (5, 7)],
+            links=[(4, 2, 8), (2, 1, 9), (4, 1, 10)],
+        )
+        assert solve(model).selected() == brute_force(model).selected() == [0, 1, 6, 7]
 
     def test_hard_soft_limit(self, rng):
         for _ in range(25):
@@ -621,9 +709,44 @@ def test_time_budget_covers_the_whole_solve(tmp_path):
     assert solution.stats.wall_ms < 700
 
 
-def test_search_depth_needs_no_recursion_limit():
-    # the search goes 44 `_solve_free` levels deep on this hub
-    model = mixed_hub_model(50, seed=7, blocks=True)
+def crown_model(pairs: int, seed: int) -> IlpModel:
+    """`mixed_hub_model`'s weights on a crown: ra of one pair conflicts
+    with rb of every other pair, so at the root no two variables are twins
+    and none is a pendant or dominated, and the search excludes them one
+    at a time."""
+    rng = random.Random(f"crown-{seed}")
+    coeffs = []
+    for i in range(pairs):
+        high, low = rng.uniform(0.45, 0.7), rng.uniform(0.1, 0.3)
+        coeffs += [low, high] if i % 2 else [high, low]  # ra is 2i, rb is 2i + 1
+    rows = [tuple(sorted((2 * i, 2 * j + 1))) for i in range(pairs) for j in range(pairs) if i != j]
+    return IlpModel(coeffs=coeffs, num_decision=2 * pairs, pairwise=sorted(rows))
+
+
+def path_model(n: int) -> IlpModel:
+    """A path of n variables, rows (i, i + 1), coefficients 1 + ((37 i) mod 11) / 100:
+    interior variables tie on degree, and no rule but the pendant fold
+    reduces it."""
+    return IlpModel(
+        coeffs=[1 + ((37 * i) % 11) / 100 for i in range(n)],
+        num_decision=n,
+        pairwise=[(i, i + 1) for i in range(n - 1)],
+    )
+
+
+def test_search_depth_needs_no_recursion_limit(monkeypatch):
+    model = crown_model(60, seed=7)
+    depth = [0, 0]  # current and deepest nesting of `_solve_free`
+    solve_free = _ComponentSolver._solve_free
+
+    def counted(self, free):
+        depth[0] += 1
+        depth[1] = max(depth)
+        result = yield from solve_free(self, free)
+        depth[0] -= 1
+        return result
+
+    monkeypatch.setattr(_ComponentSolver, "_solve_free", counted)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
@@ -633,7 +756,17 @@ def test_search_depth_needs_no_recursion_limit():
     finally:
         sys.setrecursionlimit(old_limit)
     assert solution.optimal
-    assert solution.stats.nodes == 130
+    # the premise: the search still nests deep under every reduction
+    assert solution.stats.nodes >= 100 and depth[1] >= 45
+
+
+def test_kernel_rules_fire(tmp_path):
+    hub = solve(mixed_hub_model(160, seed=7, blocks=True))
+    assert (hub.stats.nodes, hub.stats.merged_twins, hub.stats.folded_pendants) == (1, 318, 0)
+    world = solve(synth_model(tmp_path, 7, 2000, blocks=True))
+    assert world.optimal and world.stats.merged_twins > 0 and world.stats.folded_pendants > 0
+    path = solve(path_model(400))
+    assert path.optimal and path.stats.nodes == 1 and path.stats.folded_pendants > 0
 
 
 def test_timeout_mid_search_falls_back_from_the_root(tmp_path):

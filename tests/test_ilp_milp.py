@@ -111,13 +111,27 @@ def test_block_components_match_highs(tmp_path, seed, pairs, leaks, alpha):
 
 
 def test_mixed_hub_block_matches_highs():
-    """A hub whose rb side wins: the search excludes ra variables one by
-    one, bounding each step with the biclique."""
+    """A hub whose rb side wins: each side of its biclique is a twin
+    class, so the search solves one edge."""
     from test_ilp import mixed_hub_model
 
     model = mixed_hub_model(50, seed=7, blocks=True)
     solution = solve(model)
     assert solution.optimal
+    assert math.isclose(
+        solution.objective_value, highs_objective(model), rel_tol=1e-9, abs_tol=1e-9
+    )
+
+
+@pytest.mark.parametrize("shape", ["mixed-hub-300", "path-400"])
+def test_kernelized_models_match_highs(shape):
+    """Models the twin merge (a hub's block sides) or the pendant fold (a
+    path) solves in one node, against HiGHS on every row."""
+    from test_ilp import mixed_hub_model, path_model
+
+    model = mixed_hub_model(300, seed=7, blocks=True) if shape == "mixed-hub-300" else path_model(400)
+    solution = solve(model)
+    assert solution.optimal and solution.stats.nodes == 1
     assert math.isclose(
         solution.objective_value, highs_objective(model), rel_tol=1e-9, abs_tol=1e-9
     )
