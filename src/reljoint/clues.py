@@ -250,7 +250,7 @@ def _score_to_json(score: float) -> float | None:
 def _score_from_json(value) -> float:
     if value is None:
         return NEG_INF
-    if isinstance(value, (int, float)) and not math.isnan(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value):
         return float(value)
     raise ClueFileError(f"invalid k_score value: {value!r}")
 
@@ -283,7 +283,7 @@ def _parse_uniqueness_entry(kind: str, entry) -> UniquenessClue:
         if not isinstance(rel, str) or not rel.strip():
             raise ClueFileError(f"{kind} entry needs a 'relation' name: {entry!r}")
         ratio = entry.get("ratio", 1.0)
-        if not isinstance(ratio, (int, float)):
+        if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
             raise ClueFileError(f"{kind} entry has a non-numeric ratio: {entry!r}")
         return UniquenessClue(kind, rel, float(ratio), entry.get("provenance", MINED))
     raise ClueFileError(f"unrecognized {kind} entry: {entry!r}")
@@ -293,8 +293,9 @@ def load_clue_file(path: str | Path) -> ClueSet:
     """Load a clue file (hand-written or exported by `save_clue_file`).
 
     Bare pairs / relation names are manual clues; entries with a score
-    field keep their mined score. Unknown keys, malformed entries, and
-    duplicates raise ClueFileError.
+    field keep their mined score. Unknown keys, a kind whose value is not
+    a list, malformed entries (a bool is not a number) and duplicates
+    raise ClueFileError.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -306,13 +307,13 @@ def load_clue_file(path: str | Path) -> ClueSet:
     unknown = set(payload) - set(ALL_KINDS)
     if unknown:
         raise ClueFileError(f"{path}: unknown clue kinds {sorted(unknown)}")
-    collections: dict[str, list] = {kind: [] for kind in ALL_KINDS}
-    for kind in TYPE_KINDS:
-        for entry in payload.get(kind, []):
-            collections[kind].append(_parse_type_entry(kind, entry))
-    for kind in UNIQUENESS_KINDS:
-        for entry in payload.get(kind, []):
-            collections[kind].append(_parse_uniqueness_entry(kind, entry))
+    collections: dict[str, list] = {}
+    for kind in ALL_KINDS:
+        entries = payload.get(kind, [])
+        if not isinstance(entries, list):
+            raise ClueFileError(f"{path}: {kind} must be a list of entries, got {entries!r}")
+        parse = _parse_type_entry if kind in TYPE_KINDS else _parse_uniqueness_entry
+        collections[kind] = [parse(kind, entry) for entry in entries]
     return ClueSet(**collections)
 
 

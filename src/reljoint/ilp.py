@@ -10,9 +10,9 @@ component is searched by depth-first branch and bound that re-splits the
 remaining free variables after every branch, with an upper bound
 tightened by the at-most-one cliques and the bicliques for pruning. The
 search runs on an explicit stack, so any depth works under the default
-recursion limit, on the caller's thread. A
-biclique costs the solver, the oracle and the feasibility check time in
-its number of members, not in its number of rows.
+recursion limit, on the caller's thread. A biclique costs the solver, the
+oracle and the feasibility check time in its number of members, not in
+its number of rows.
 
 Feasibility forces every auxiliary variable to equal the AND of its
 endpoints, so the search only branches on decision variables; a link's
@@ -24,9 +24,11 @@ edge; the links that remain tighten the bound pair by pair.
 Before each branching step the component solver kernelizes: variables
 with the same neighbors (twins) merge into their smallest id, and a
 variable with one neighbor (a pendant) folds into that neighbor's
-weight. After the smaller problem is solved, both are undone and the
-removed variables put back, so a hub's block sides cost one variable each
-and a path is solved without branching.
+weight, so a hub's block sides cost one variable each and a path is
+solved without branching. Merges, pendant folds and link folds go on one
+trail, unwound once the smaller problem is solved, which puts the removed
+variables back; every changed weight is the exactly rounded sum of the
+floats it stands for.
 
 Determinism contract: fixed inputs give a fixed result whenever the
 search completes within budget. Selections are compared by the exact sum
@@ -37,16 +39,16 @@ one that holds the smallest id on which they differ wins, i.e. the
 smallest `(*sorted selected ids, num_vars)` tuple. That order decides a
 union by its parts, so the winners of separate components and
 subproblems merge into the whole-model winner, and `solve` and
-`brute_force` agree exactly. (The reduction rules still read a link
-penalty folded into its partner's coefficient as the rounded sum.)
-Objectives are reported with math.fsum over ascending variable ids, so
-equal selections always yield bit-identical values.
+`brute_force` agree exactly. Objectives are reported with math.fsum over
+ascending variable ids, so equal selections always yield bit-identical
+values.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -444,10 +446,8 @@ class _Timeout(Exception):
 
 
 _Step = Generator["_Step", tuple[int, ...], tuple[int, ...]]
-# a merge or fold to undo: the variable that kept its place, the variables
-# that left, whether they come back when it is selected (twins) or when it
-# is not (a pendant), and its coefficient and weight terms before
-_Undo = tuple[int, tuple[int, ...], bool, float, "list[float] | None"]
+# the most a rounded sum of weights is off, as a share of the compared magnitudes
+_ROUNDING = 4 * sys.float_info.epsilon
 
 
 def _wins_tie(
@@ -468,17 +468,20 @@ class _ComponentSolver:
     fixpoint: weighted domination (a link-free variable strictly
     outweighing its whole conflict neighborhood is committed and its
     neighborhood dropped, a variable covered by a heavier neighbor is
-    dropped) and the pendant fold (`_fold_pendants`). Merges and folds
-    change a kept variable's weight and log how to undo that; once the
-    parts are solved, `_unmerge` replays the log newest first, restoring
-    each weight and putting back the twins of a selected representative
-    and the pendant of an unselected neighbor. A changed weight is the
-    exactly rounded sum of the floats it stands for, kept in
-    `merged_terms`, and every comparison that could tie uses those floats.
-    What remains is re-split into connected parts and searched by
-    branching on the best-connected variable, so components shatter
-    quickly. Committing a variable to 1 folds its link penalties into the
-    partners' coefficients; the search solves what is left.
+    dropped) and the pendant fold (`_fold_pendants`). What remains is
+    re-split into connected parts and searched by branching on the
+    best-connected variable, so components shatter quickly. Committing a
+    variable to 1 folds its link penalties into the partners' weights
+    (`_fold_links`); the search solves what is left.
+
+    Every weight change - a merge, a pendant fold or a link fold - goes
+    through `_reweigh`: the new weight is the exactly rounded sum of its
+    exact summands, kept in `exact_terms`, and an undo entry goes onto one
+    solver-wide trail. A step `_unwind`s the trail to its length on entry
+    once its subproblems are solved, restoring weights and links and
+    putting back the twins of a selected representative and the pendant
+    of an unselected neighbor. A strict comparison of two weights is thus
+    exact; only ties and sums of weights read the summands.
 
     The steps `_solve_free` and `_solve_connected` are generators that
     yield their subproblems' steps; `_search` runs them on an explicit
@@ -515,8 +518,8 @@ class _ComponentSolver:
         # link penalties are <= 0 and the feasible set is downward-closed.
         # It is exactly a conflict edge. The test stays strict: at
         # equality {a, b, aux} ties {b}, and the tie-break prefers it.
-        # links_at[v] = (partner, aux id, aux coefficient, link index)
-        self.links_at: list[list[tuple[int, int, float, int]]] = [[] for _ in range(n)]
+        # links_at[v] = (partner, aux coefficient, link index)
+        self.links_at: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
         self.link_active = [True] * len(model.links)
         hardened: list[tuple[int, int]] = []
         linked = 0
@@ -527,8 +530,8 @@ class _ComponentSolver:
                 conflict[b] |= 1 << a
                 hardened.append((min(a, b), max(a, b)))
                 continue
-            self.links_at[a].append((b, aux, penalty, idx))
-            self.links_at[b].append((a, aux, penalty, idx))
+            self.links_at[a].append((b, penalty, idx))
+            self.links_at[b].append((a, penalty, idx))
             linked |= 1 << a | 1 << b
         self.conflict = conflict
         self.hardened_links = len(hardened)
@@ -557,8 +560,11 @@ class _ComponentSolver:
                 self.cliques_at[i].append(k)
 
         self.struct = _structure_masks(conflict, model.links)
-        # the exact summands of each weight a twin merge or pendant fold set
-        self.merged_terms: dict[int, list[float]] = {}
+        # the exact summands of every weight that differs from the model's, and
+        # the changes to undo: (variable, weight and terms before, deactivated
+        # link or -1, variables removed, whether they return with it selected)
+        self.exact_terms: dict[int, list[float]] = {}
+        self.trail: list[tuple[int, float, list[float] | None, int, tuple[int, ...], bool]] = []
         self.merged_twins = 0
         self.folded_pendants = 0
 
@@ -568,11 +574,8 @@ class _ComponentSolver:
         try:
             return frozenset(self._search(self._solve_free(free))), True
         except _Timeout:
-            # the abandoned steps never unfold their links or undo their
-            # merges and folds: greedy from the root
-            self.coeff = list(self.model.coeffs)
-            self.link_active = [True] * len(self.link_active)
-            self.merged_terms = {}
+            # the abandoned steps never unwound their changes: greedy from the root
+            self._unwind(0)
             return self._greedy(free), False
 
     @staticmethod
@@ -608,7 +611,7 @@ class _ComponentSolver:
                 continue
             gain = self.coeff[v] + sum(
                 aux_coeff
-                for partner, _aux, aux_coeff, idx in self.links_at[v]
+                for partner, aux_coeff, idx in self.links_at[v]
                 if self.link_active[idx] and taken >> partner & 1
             )
             if gain > 0:
@@ -616,32 +619,52 @@ class _ComponentSolver:
                 blocked |= self.conflict[v]
         return frozenset(_bits(taken))
 
+    def _reweigh(self, v: int, terms: list[float], link=-1, gone=(), with_v=False) -> None:
+        """Weigh v as the exactly rounded sum of `terms`, deactivate `link`,
+        if any, and push the undo entry: `gone` left the subproblem and
+        comes back when v is selected (`with_v`) or when it is not."""
+        self.trail.append((v, self.coeff[v], self.exact_terms.get(v), link, gone, with_v))
+        self.exact_terms[v] = terms
+        if link >= 0:
+            self.link_active[link] = False
+        # a sum of two floats is already exactly rounded
+        self.coeff[v] = terms[0] + terms[1] if len(terms) == 2 else math.fsum(terms)
+
+    def _unwind(self, mark: int, chosen: set[int] | None = None) -> None:
+        """Undo the changes past `mark`, newest first, and put back into
+        `chosen`, if given, the twins of a selected representative and
+        the pendant of an unselected neighbor."""
+        trail, coeff, exact, active = self.trail, self.coeff, self.exact_terms, self.link_active
+        while len(trail) > mark:
+            v, weight, terms, link, gone, with_v = trail.pop()
+            coeff[v] = weight
+            if terms is None:
+                del exact[v]
+            else:
+                exact[v] = terms
+            if link >= 0:
+                active[link] = True
+            elif chosen is not None and (v in chosen) == with_v:
+                chosen.update(gone)
+
     def _terms(self, ids: Iterable[int], within: set[int] | None = None) -> list[float]:
         """Floats whose exact sum is the current total weight of `ids`:
-        each model coefficient and the link penalties folded into it, or
-        the summands a merge or fold left on it. (A free variable's
-        inactive link was folded into it when its partner was committed.)
-        Given `within`, the set of `ids`, the penalties of the active links
+        each one's stored terms, else its model coefficient. Given
+        `within`, the set of `ids`, the penalties of the active links
         between two of them follow too, each once."""
-        coeffs, merged, active = self.model.coeffs, self.merged_terms, self.link_active
+        coeffs, exact, active = self.model.coeffs, self.exact_terms, self.link_active
         out: list[float] = []
         for i in ids:
-            own = merged.get(i)
-            if own is None:
-                out.append(coeffs[i])
-            else:
-                out.extend(own)
-            for partner, _aux, aux_coeff, idx in self.links_at[i]:
-                if not active[idx]:
-                    if own is None:
+            out.extend(exact.get(i) or (coeffs[i],))
+            if within is not None:
+                for partner, aux_coeff, idx in self.links_at[i]:
+                    if active[idx] and i < partner and partner in within:
                         out.append(aux_coeff)
-                elif within is not None and i < partner and partner in within:
-                    out.append(aux_coeff)
         return out
 
     def _excess(self, plus: Iterable[int], minus: Iterable[int]) -> float:
         """The exactly rounded weight of `plus` minus that of `minus`: its
-        sign is exact even where merged weights round to a tie."""
+        sign is exact even where the weights round to a tie."""
         return math.fsum(self._terms(plus) + [-t for t in self._terms(minus)])
 
     def _value_and_tiebreak(
@@ -649,12 +672,12 @@ class _ComponentSolver:
     ) -> tuple[float, tuple[int, ...], list[float]]:
         """Canonical subproblem value, tie-break tuple and value terms.
 
-        The terms are the current (fold-adjusted, merged) weights of the
-        selection plus the penalties of still-active links internal to it;
-        the value is their exactly rounded sum. The tuple is the sorted
-        selection plus a sentinel: auxiliary ids are larger than every
-        decision id and follow from the decision ids, so the decision ids
-        alone decide the smallest differing id.
+        The terms are those of the selection's current weights plus the
+        penalties of still-active links internal to it; the value is their
+        exactly rounded sum. The tuple is the sorted selection plus a
+        sentinel: auxiliary ids are larger than every decision id and
+        follow from the decision ids, so the decision ids alone decide the
+        smallest differing id.
         """
         sel = set(selection)
         ordered = sorted(sel)
@@ -698,7 +721,7 @@ class _ComponentSolver:
         for i in _bits(self.linked & free):  # empty without links: hard mode
             if i not in available:
                 continue
-            for partner, _aux, aux_coeff, idx in self.links_at[i]:
+            for partner, aux_coeff, idx in self.links_at[i]:
                 if partner in available and self.link_active[idx]:
                     bound -= min(coeff[i], coeff[partner], -aux_coeff)
                     available.discard(i)
@@ -709,10 +732,10 @@ class _ComponentSolver:
     def _has_live_link(self, v: int, free: int) -> bool:
         return any(
             self.link_active[idx] and free >> partner & 1
-            for partner, _aux, _coeff, idx in self.links_at[v]
+            for partner, _coeff, idx in self.links_at[v]
         )
 
-    def _merge_twins(self, free: int, undo: list[_Undo]) -> int:
+    def _merge_twins(self, free: int) -> int:
         """Twin merge: link-free, non-negative variables with the same free
         conflict neighborhood are pairwise non-adjacent, so a tie-preferred
         optimum holds all of a class or none of it. Each class of two or
@@ -732,16 +755,13 @@ class _ComponentSolver:
         for members in classes.values():
             if len(members) > 1:
                 rep, others = members[0], tuple(members[1:])
-                terms = self._terms(members)
-                undo.append((rep, others, True, coeff[rep], self.merged_terms.get(rep)))
-                self.merged_terms[rep] = terms
-                coeff[rep] = math.fsum(terms)
+                self._reweigh(rep, self._terms(members), gone=others, with_v=True)
                 for t in others:
                     free &= ~(1 << t)
                 self.merged_twins += len(others)
         return free
 
-    def _fold_pendants(self, v: int, remaining: int, undo: list[_Undo]) -> int:
+    def _fold_pendants(self, v: int, remaining: int) -> int:
         """Pendant fold: a link-free v >= 0 whose one neighbor u is
         link-free, with u < v and c(v) <= c(u), is in a tie-preferred
         optimum exactly when u is not. Take c(v) off c(u) and drop v; then
@@ -760,31 +780,12 @@ class _ComponentSolver:
                 or self._has_live_link(u, remaining)
             ):
                 return remaining
-            terms = self._terms([u]) + [-t for t in self._terms([v])]
-            undo.append((u, (v,), False, coeff[u], self.merged_terms.get(u)))
-            self.merged_terms[u] = terms
-            coeff[u] = math.fsum(terms)
+            self._reweigh(u, self._terms([u]) + [-t for t in self._terms([v])], gone=(v,))
             remaining &= ~(1 << v)
             self.folded_pendants += 1
             v = u
 
-    def _unmerge(self, selected: list[int], undo: list[_Undo]) -> tuple[int, ...]:
-        """Undo a subproblem's merges and folds, newest first, and put back
-        the variables they removed: a twin class with its representative,
-        a pendant when its neighbor stays out."""
-        chosen = set(selected)
-        coeff, merged = self.coeff, self.merged_terms
-        for keep, gone, with_keep, old_coeff, old_terms in reversed(undo):
-            coeff[keep] = old_coeff
-            if old_terms is None:
-                del merged[keep]
-            else:
-                merged[keep] = old_terms
-            if (keep in chosen) == with_keep:
-                chosen.update(gone)
-        return tuple(chosen)
-
-    def _reduce(self, free: int, undo: list[_Undo]) -> tuple[list[int], int]:
+    def _reduce(self, free: int) -> tuple[list[int], int]:
         """Shrink a subproblem with exactness- and tie-preserving rules.
 
         Run to fixpoint over the current graph:
@@ -796,15 +797,15 @@ class _ComponentSolver:
         * adjacent domination: a variable whose link-free neighbor covers
           its remaining neighborhood at no smaller weight (ties to the
           smaller id) is in no tie-preferred optimum, so drop it;
-        * pendant fold (`_fold_pendants`), logged to `undo`.
+        * pendant fold (`_fold_pendants`).
 
-        Weights that `_merge_twins` or a fold set are exactly rounded sums,
-        so a strict comparison of them is exact; where they tie, or a
-        domination sum involves them, their exact summands decide.
+        Weights are exactly rounded sums, so a strict comparison of two is
+        exact; where two tie, or a domination sum is too close to call,
+        their exact summands decide.
         """
         coeff = self.coeff
         conflict = self.conflict
-        merged = self.merged_terms
+        exact = self.exact_terms
         remaining = free
         forced: list[int] = []
         changed = True
@@ -824,7 +825,7 @@ class _ComponentSolver:
                 if link_free:
                     rival = math.fsum([coeff[u] for u in neighborhood if coeff[u] > 0])
                     if coeff[v] > rival and (
-                        not merged
+                        coeff[v] - rival > _ROUNDING * (coeff[v] + rival)
                         or self._excess([v], [u for u in neighborhood if coeff[u] > 0]) > 0
                     ):
                         forced.append(v)
@@ -837,7 +838,7 @@ class _ComponentSolver:
                     if coeff[u] < coeff[v]:
                         continue
                     if coeff[u] == coeff[v]:
-                        excess = self._excess([u], [v]) if merged else 0.0
+                        excess = self._excess([u], [v]) if u in exact or v in exact else 0.0
                         if excess < 0 or (excess == 0 and u > v):
                             continue
                     if self._has_live_link(u, remaining):
@@ -849,7 +850,7 @@ class _ComponentSolver:
                     remaining &= ~vbit
                     changed = True
                 elif link_free and len(neighborhood) == 1:
-                    folded = self._fold_pendants(v, remaining, undo)
+                    folded = self._fold_pendants(v, remaining)
                     changed = changed or folded != remaining
                     remaining = folded
         return forced, remaining
@@ -858,13 +859,17 @@ class _ComponentSolver:
         if not free:
             return ()
         self._tick()
-        undo: list[_Undo] = []
-        free = self._merge_twins(free, undo)
-        forced, free = self._reduce(free, undo)
+        mark = len(self.trail)
+        free = self._merge_twins(free)
+        forced, free = self._reduce(free)
         selected: list[int] = list(forced)
         for part in _parts(free, self.struct):
             selected.extend((yield self._solve_connected(part)))
-        return self._unmerge(selected, undo) if undo else tuple(selected)
+        if len(self.trail) == mark:
+            return tuple(selected)
+        chosen = set(selected)
+        self._unwind(mark, chosen)
+        return tuple(chosen)
 
     def _solve_connected(self, free: int) -> _Step:
         self._tick()
@@ -884,9 +889,10 @@ class _ComponentSolver:
         # ones still branch, since the tie-break may want them selected
         if self.coeff[v] >= 0:
             rest = free & ~(vbit | self.conflict[v])
-            undo = self._fold_links(v, rest)
+            mark = len(self.trail)
+            self._fold_links(v, rest)
             sub = yield self._solve_free(rest)
-            self._unfold_links(undo)
+            self._unwind(mark)
             include = (v,) + sub
             best = (*self._value_and_tiebreak(include), include)
 
@@ -903,23 +909,15 @@ class _ComponentSolver:
                 best = (value0, tiebreak0, terms0, sub0)
         return best[3]
 
-    def _fold_links(self, v: int, remaining: int) -> list[tuple[int, float, int]]:
+    def _fold_links(self, v: int, remaining: int) -> None:
         """Commit v=1: fold each active link's penalty into its partner.
 
         Afterwards a partner's selection already pays the forced auxiliary
-        penalty through its adjusted coefficient."""
-        undo: list[tuple[int, float, int]] = []
-        for partner, _aux, aux_coeff, idx in self.links_at[v]:
-            if self.link_active[idx] and remaining >> partner & 1:
-                undo.append((partner, self.coeff[partner], idx))
-                self.coeff[partner] += aux_coeff
-                self.link_active[idx] = False
-        return undo
-
-    def _unfold_links(self, undo: list[tuple[int, float, int]]) -> None:
-        for partner, old_coeff, idx in reversed(undo):
-            self.coeff[partner] = old_coeff
-            self.link_active[idx] = True
+        penalty through its weight."""
+        coeffs, exact, active = self.model.coeffs, self.exact_terms, self.link_active
+        for partner, aux_coeff, idx in self.links_at[v]:
+            if active[idx] and remaining >> partner & 1:
+                self._reweigh(partner, exact.get(partner, [coeffs[partner]]) + [aux_coeff], idx)
 
 
 def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> Solution:

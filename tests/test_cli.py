@@ -277,6 +277,22 @@ def test_nan_clue_score_exits_2(tmp_path, capsys, world):
     assert "data error" in err and "k_score" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payload", ['{"ou": 5}', '{"sr": "ab"}', '{"su": [{"relation": "a", "ratio": true}]}']
+)
+def test_misshapen_clue_file_exits_2(tmp_path, capsys, world, payload):
+    clues = tmp_path / "clues.json"
+    clues.write_text(payload, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["solve", "--predictions", str(world.predictions_path), "--clues", str(clues),
+             "--out-dir", str(tmp_path / "run")]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
 def test_run_config_defaults_match_documented_values():
     config = RunConfig()
     assert config.kappa == -3.0

@@ -237,6 +237,32 @@ class TestClueFile:
         with pytest.raises(ValueError):
             TypeClue("sr", "a", "b", float("nan"))
 
+    def test_kind_that_is_not_a_list_rejected(self, tmp_path):
+        path = tmp_path / "clues.json"
+        path.write_text(json.dumps({"ou": 5}), encoding="utf-8")
+        with pytest.raises(ClueFileError, match="ou must be a list"):
+            load_clue_file(path)
+
+    def test_string_kind_is_not_iterated(self, tmp_path):
+        path = tmp_path / "clues.json"
+        path.write_text(json.dumps({"sr": "ab"}), encoding="utf-8")
+        with pytest.raises(ClueFileError, match="sr must be a list"):
+            load_clue_file(path)
+
+    def test_bool_ratio_rejected(self, tmp_path):
+        path = tmp_path / "clues.json"
+        path.write_text(json.dumps({"su": [{"relation": "a", "ratio": True}]}), encoding="utf-8")
+        with pytest.raises(ClueFileError, match="non-numeric ratio"):
+            load_clue_file(path)
+
+    def test_bool_score_rejected(self, tmp_path):
+        path = tmp_path / "clues.json"
+        path.write_text(
+            json.dumps({"ro": [{"relations": ["a", "b"], "k_score": True}]}), encoding="utf-8"
+        )
+        with pytest.raises(ClueFileError, match="invalid k_score value: True"):
+            load_clue_file(path)
+
     def test_mined_round_trip(self, tmp_path):
         kb = kb_from(
             ("a", "r1", "x"), ("b", "r1", "y"),

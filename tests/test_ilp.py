@@ -307,6 +307,25 @@ def kernel_model(rng: random.Random) -> IlpModel:
     )
 
 
+def linked_tie_model(rng: random.Random) -> IlpModel:
+    """Random soft model of 3-11 decision variables with several links per
+    variable: weights from a tie-heavy grid and link penalties small
+    enough that few links harden, so the search folds two or more
+    penalties into one partner and their rounded sums can tie."""
+    n = rng.randint(3, 11)
+    coeffs = [rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 1.0]) for _ in range(n)]
+    pairwise = set()
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        pairwise.add((min(i, j), max(i, j)))
+    ends = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = []
+    for a, b in rng.sample(ends, min(rng.randint(1, min(2 * n, 18 - n)), len(ends))):
+        coeffs.append(rng.choice([-0.05, -0.1, -0.2, -0.3, -0.4]))
+        links.append((a, b, n + len(links)))
+    return IlpModel(coeffs=coeffs, num_decision=n, pairwise=sorted(pairwise), links=links)
+
+
 class TestLinkHardening:
     """A link whose penalty outweighs its cheaper endpoint becomes a
     conflict edge inside the component solver; one exactly on that line
@@ -435,6 +454,13 @@ class TestBruteForce:
             folded += exact.stats.folded_pendants
         assert merged > 1000 and folded > 300
 
+    def test_linked_tie_models_match_exactly(self, rng):
+        for trial in range(2000):
+            model = linked_tie_model(rng)
+            exact, oracle = solve(model), brute_force(model)
+            assert exact.objective_value == oracle.objective_value, trial
+            assert exact.selected() == oracle.selected(), trial
+
     def test_exact_sums_decide_ties(self):
         # as floats, 0.1 + 0.2 is exactly above 0.3, but both selections
         # sum to 1.5 once rounded: the exact sums decide, not the tie-break
@@ -472,6 +498,14 @@ class TestBruteForce:
             links=[(4, 2, 8), (2, 1, 9), (4, 1, 10)],
         )
         assert solve(model).selected() == brute_force(model).selected() == [0, 1, 6, 7]
+        # committing 1 and then 2 folds -0.1 and -0.4 into 0: 0.5 - 0.1 - 0.4
+        # rounds step by step to exactly 0.0, but the exact sum is below 0,
+        # so 0 must stay out
+        model = IlpModel(
+            coeffs=[0.5, 0.7, 0.7, -0.4, -0.1], num_decision=3, links=[(2, 0, 3), (0, 1, 4)]
+        )
+        assert solve(model).selected() == brute_force(model).selected() == [1, 2]
+        assert solve(model).objective_value == brute_force(model).objective_value
 
     def test_hard_soft_limit(self, rng):
         for _ in range(25):
@@ -791,4 +825,5 @@ def test_timeout_mid_search_falls_back_from_the_root(tmp_path):
         assert folded[0] > 0, after  # the timeout struck inside include branches
         assert solver.coeff == sub.coeffs
         assert all(solver.link_active)
+        assert solver.trail == [] and solver.exact_terms == {}
         assert selection == root_greedy, after
