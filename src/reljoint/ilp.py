@@ -627,8 +627,7 @@ class _ComponentSolver:
         self.exact_terms[v] = terms
         if link >= 0:
             self.link_active[link] = False
-        # a sum of two floats is already exactly rounded
-        self.coeff[v] = terms[0] + terms[1] if len(terms) == 2 else math.fsum(terms)
+        self.coeff[v] = math.fsum(terms)
 
     def _unwind(self, mark: int, chosen: set[int] | None = None) -> None:
         """Undo the changes past `mark`, newest first, and put back into
