@@ -23,6 +23,11 @@ NA_LABEL = "NA"
 DEFAULT_TOP_K = 3
 DEFAULT_MIN_CONF = 0.1
 
+_ID_FIELDS = ("pair_id", "subject", "object", "mention_id")
+# json.loads scans for whitespace before and after the value; a stripped
+# line has none, so the loader decodes it directly.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 class PredictionFileError(ValueError):
     """Malformed predictions file; carries the 1-based line number."""
@@ -75,10 +80,18 @@ def select_mention_candidates(
     NA and non-positive scores are excluded; ties at the cut fall to the
     lexicographically smaller relation name.
     """
+    _check_selection(top_k, min_conf)
+    return _select(scores, top_k, min_conf)
+
+
+def _check_selection(top_k: int, min_conf: float) -> None:
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if not 0.0 <= min_conf <= 1.0:
         raise ValueError(f"min_conf must be in [0,1], got {min_conf}")
+
+
+def _select(scores: Mapping[str, float], top_k: int, min_conf: float) -> list[str]:
     eligible = [
         rel
         for rel, score in scores.items()
@@ -98,6 +111,13 @@ def aggregate(
     A relation's confidence sums the scores of exactly the mentions that
     admitted it as a candidate; max_mention is the best of those scores.
     """
+    _check_selection(top_k, min_conf)
+    return _aggregate(mentions, top_k, min_conf)
+
+
+def _aggregate(
+    mentions: Sequence[MentionPrediction], top_k: int, min_conf: float
+) -> PairCandidates:
     if not mentions:
         raise ValueError("aggregate needs at least one mention")
     first = mentions[0]
@@ -111,14 +131,15 @@ def aggregate(
             raise ValueError(f"duplicate mention id {m.mention_id!r} in pair {m.pair_id!r}")
         seen_ids.add(m.mention_id)
 
+    # Visiting mentions in id order leaves every supporter list in id order.
     supporters: dict[str, list[MentionPrediction]] = {}
-    for m in mentions:
-        for rel in select_mention_candidates(m.scores, top_k, min_conf):
+    for m in sorted(mentions, key=lambda m: m.mention_id):
+        for rel in _select(m.scores, top_k, min_conf):
             supporters.setdefault(rel, []).append(m)
 
     candidates: dict[str, Candidate] = {}
     for rel in sorted(supporters):
-        ms = sorted(supporters[rel], key=lambda m: m.mention_id)
+        ms = supporters[rel]
         # fsum in mention-id order keeps the stored value exactly
         # recomputable from the raw input.
         conf = math.fsum(m.scores[rel] for m in ms)
@@ -141,9 +162,10 @@ def build_pair_candidates(
     min_conf: float = DEFAULT_MIN_CONF,
 ) -> list[PairCandidates]:
     """Aggregate every pair, dropping pairs with no surviving candidate."""
+    _check_selection(top_k, min_conf)
     pairs = []
     for pair_id in sorted(mentions_by_pair):
-        pc = aggregate(mentions_by_pair[pair_id], top_k, min_conf)
+        pc = _aggregate(mentions_by_pair[pair_id], top_k, min_conf)
         if pc.candidates:
             pairs.append(pc)
     return pairs
@@ -152,10 +174,12 @@ def build_pair_candidates(
 def load_predictions(path: str | Path) -> dict[str, list[MentionPrediction]]:
     """Read the line-delimited JSON predictions file, grouped by pair.
 
-    Each line is an object with pair_id, subject, object, mention_id and a
-    relation -> score map. Scores are taken as given; mentions whose scores
-    sum past a distribution (> 1 plus float slack) are counted and flagged
-    with a single warning, not rescaled.
+    Each line is an object with string pair_id, subject, object and
+    mention_id, and a relation -> score map whose scores are JSON numbers
+    in [0, 1]; anything else raises PredictionFileError. Scores are taken
+    as given; mentions whose scores sum past a distribution (> 1 plus
+    float slack) are counted and flagged with a single warning, not
+    rescaled.
     """
     grouped: dict[str, list[MentionPrediction]] = {}
     unnormalized = 0
@@ -165,17 +189,11 @@ def load_predictions(path: str | Path) -> dict[str, list[MentionPrediction]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise PredictionFileError(f"invalid JSON ({exc})", path, lineno) from exc
             try:
-                mention = MentionPrediction(
-                    pair_id=str(record["pair_id"]),
-                    subject=str(record["subject"]),
-                    object=str(record["object"]),
-                    mention_id=str(record["mention_id"]),
-                    scores={str(r): float(s) for r, s in record["scores"].items()},
-                )
+                mention = _mention(record)
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise PredictionFileError(f"bad record ({exc})", path, lineno) from exc
             if math.fsum(mention.scores.values()) > 1.0 + 1e-6 * len(mention.scores):
@@ -186,6 +204,37 @@ def load_predictions(path: str | Path) -> dict[str, list[MentionPrediction]]:
             "%d mention(s) in %s have scores summing past 1; left unscaled", unnormalized, path
         )
     return grouped
+
+
+def _decode_line(line: str):
+    """json.loads(line) for a line with no surrounding whitespace."""
+    try:
+        record, end = _raw_decode(line)
+        if end == len(line):
+            return record
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # malformed: raise the error json.loads gives
+
+
+def _mention(record) -> MentionPrediction:
+    """One decoded line as a mention: the ids must be strings and the
+    scores numbers (not bools)."""
+    for name in _ID_FIELDS:
+        if not isinstance(record[name], str):
+            raise TypeError(f"{name} must be a string, got {record[name]!r}")
+    scores = {}
+    for rel, score in record["scores"].items():
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise TypeError(f"score for {rel!r} must be a number, got {score!r}")
+        scores[rel] = float(score)
+    return MentionPrediction(
+        pair_id=record["pair_id"],
+        subject=record["subject"],
+        object=record["object"],
+        mention_id=record["mention_id"],
+        scores=scores,
+    )
 
 
 def write_predictions_file(path: str | Path, mentions: Iterable[MentionPrediction]) -> None:

@@ -54,8 +54,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Generator, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .constraints import (
     TYPE_FAMILIES,
     ConflictBlock,
@@ -984,8 +982,12 @@ def brute_force(model: IlpModel) -> Solution:
 
     Uses the same canonical objective and tie-break as solve. The
     enumeration is vectorized in blocks; near-maximal assignments are
-    re-evaluated exactly before the winner is chosen.
+    re-evaluated exactly before the winner is chosen. numpy is imported
+    here, not at module level, so that importing the package (and every
+    command line run) does not load it.
     """
+    import numpy as np
+
     start = time.monotonic()
     n = model.num_vars
     if n > BRUTE_FORCE_LIMIT:

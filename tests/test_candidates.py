@@ -160,3 +160,48 @@ class TestPredictionsFile:
             grouped = load_predictions(path)
         assert "summing past 1" in caplog.text
         assert grouped["p"][0].scores == {"r1": 0.9, "r2": 0.8}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"scores": {"r1": True}}, "score for 'r1'"),
+            ({"pair_id": None}, "pair_id"),
+            ({"subject": None}, "subject"),
+            ({"scores": {"r1": "0.5"}}, "score for 'r1'"),
+        ],
+        ids=["bool-score", "null-pair-id", "null-subject", "string-score"],
+    )
+    def test_malformed_values_rejected_with_line(self, tmp_path, bad, message):
+        good = {
+            "pair_id": "p", "subject": "a", "object": "b", "mention_id": "m0",
+            "scores": {"r1": 0.5},
+        }
+        path = tmp_path / "preds.jsonl"
+        lines = [json.dumps(good), json.dumps({**good, "mention_id": "m1", **bad})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(PredictionFileError, match=message) as err:
+            load_predictions(path)
+        assert err.value.line == 2
+
+    def test_integer_scores_load_as_floats(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        record = {
+            "pair_id": "p", "subject": "a", "object": "b", "mention_id": "m0",
+            "scores": {"r1": 1, "NA": 0},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        scores = load_predictions(path)["p"][0].scores
+        assert scores == {"r1": 1.0, "NA": 0.0}
+        assert all(type(s) is float for s in scores.values())
+
+    @pytest.mark.parametrize(
+        "line", ['{"pair_id": "p"} x', '{"pair_id": "p"}}', '\ufeff{"pair_id": "p"}', '{"pair_id"']
+    )
+    def test_invalid_json_reported_as_json_loads_reports_it(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with pytest.raises(PredictionFileError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}:1: invalid JSON ({expected.value})"

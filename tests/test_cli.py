@@ -293,6 +293,40 @@ def test_misshapen_clue_file_exits_2(tmp_path, capsys, world, payload):
     assert "data error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "values",
+    [{"scores": {"r1": True}}, {"pair_id": None, "subject": None}, {"scores": {"r1": "0.5"}}],
+    ids=["bool-score", "null-ids", "string-score"],
+)
+def test_malformed_prediction_value_exits_2(tmp_path, capsys, values):
+    record = {
+        "pair_id": "p", "subject": "a", "object": "b", "mention_id": "m0", "scores": {"r1": 0.5},
+    }
+    predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({**record, **values})])
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["solve", "--predictions", str(predictions), "--method", "mintzpp",
+             "--out-dir", str(tmp_path / "run")]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and ":1: bad record" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "predictions.tsv").exists()
+
+
+def test_import_loads_no_numpy():
+    """Every command starts by importing the command line; numpy, used
+    only by ilp.brute_force, must not be part of that start-up."""
+    src = str(Path(reljoint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, reljoint, reljoint.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_run_config_defaults_match_documented_values():
     config = RunConfig()
     assert config.kappa == -3.0
