@@ -24,9 +24,6 @@ DEFAULT_TOP_K = 3
 DEFAULT_MIN_CONF = 0.1
 
 _ID_FIELDS = ("pair_id", "subject", "object", "mention_id")
-# json.loads scans for whitespace before and after the value; a stripped
-# line has none, so the loader decodes it directly.
-_raw_decode = json.JSONDecoder().raw_decode
 
 
 class PredictionFileError(ValueError):
@@ -80,18 +77,10 @@ def select_mention_candidates(
     NA and non-positive scores are excluded; ties at the cut fall to the
     lexicographically smaller relation name.
     """
-    _check_selection(top_k, min_conf)
-    return _select(scores, top_k, min_conf)
-
-
-def _check_selection(top_k: int, min_conf: float) -> None:
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if not 0.0 <= min_conf <= 1.0:
         raise ValueError(f"min_conf must be in [0,1], got {min_conf}")
-
-
-def _select(scores: Mapping[str, float], top_k: int, min_conf: float) -> list[str]:
     eligible = [
         rel
         for rel, score in scores.items()
@@ -111,13 +100,6 @@ def aggregate(
     A relation's confidence sums the scores of exactly the mentions that
     admitted it as a candidate; max_mention is the best of those scores.
     """
-    _check_selection(top_k, min_conf)
-    return _aggregate(mentions, top_k, min_conf)
-
-
-def _aggregate(
-    mentions: Sequence[MentionPrediction], top_k: int, min_conf: float
-) -> PairCandidates:
     if not mentions:
         raise ValueError("aggregate needs at least one mention")
     first = mentions[0]
@@ -134,7 +116,7 @@ def _aggregate(
     # Visiting mentions in id order leaves every supporter list in id order.
     supporters: dict[str, list[MentionPrediction]] = {}
     for m in sorted(mentions, key=lambda m: m.mention_id):
-        for rel in _select(m.scores, top_k, min_conf):
+        for rel in select_mention_candidates(m.scores, top_k, min_conf):
             supporters.setdefault(rel, []).append(m)
 
     candidates: dict[str, Candidate] = {}
@@ -162,10 +144,9 @@ def build_pair_candidates(
     min_conf: float = DEFAULT_MIN_CONF,
 ) -> list[PairCandidates]:
     """Aggregate every pair, dropping pairs with no surviving candidate."""
-    _check_selection(top_k, min_conf)
     pairs = []
     for pair_id in sorted(mentions_by_pair):
-        pc = _aggregate(mentions_by_pair[pair_id], top_k, min_conf)
+        pc = aggregate(mentions_by_pair[pair_id], top_k, min_conf)
         if pc.candidates:
             pairs.append(pc)
     return pairs
@@ -189,12 +170,12 @@ def load_predictions(path: str | Path) -> dict[str, list[MentionPrediction]]:
             if not line:
                 continue
             try:
-                record = _decode_line(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise PredictionFileError(f"invalid JSON ({exc})", path, lineno) from exc
             try:
                 mention = _mention(record)
-            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
                 raise PredictionFileError(f"bad record ({exc})", path, lineno) from exc
             if math.fsum(mention.scores.values()) > 1.0 + 1e-6 * len(mention.scores):
                 unnormalized += 1
@@ -204,17 +185,6 @@ def load_predictions(path: str | Path) -> dict[str, list[MentionPrediction]]:
             "%d mention(s) in %s have scores summing past 1; left unscaled", unnormalized, path
         )
     return grouped
-
-
-def _decode_line(line: str):
-    """json.loads(line) for a line with no surrounding whitespace."""
-    try:
-        record, end = _raw_decode(line)
-        if end == len(line):
-            return record
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)  # malformed: raise the error json.loads gives
 
 
 def _mention(record) -> MentionPrediction:

@@ -295,8 +295,13 @@ def test_misshapen_clue_file_exits_2(tmp_path, capsys, world, payload):
 
 @pytest.mark.parametrize(
     "values",
-    [{"scores": {"r1": True}}, {"pair_id": None, "subject": None}, {"scores": {"r1": "0.5"}}],
-    ids=["bool-score", "null-ids", "string-score"],
+    [
+        {"scores": {"r1": True}},
+        {"pair_id": None, "subject": None},
+        {"scores": {"r1": "0.5"}},
+        {"scores": {"r1": 10**400}},
+    ],
+    ids=["bool-score", "null-ids", "string-score", "huge-int-score"],
 )
 def test_malformed_prediction_value_exits_2(tmp_path, capsys, values):
     record = {
