@@ -8,6 +8,7 @@ configuration problem, 2 unreadable or malformed data.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -56,8 +57,8 @@ class RunConfig:
             raise ConfigError(f"conf_threshold must be in [0,1], got {self.conf_threshold}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if not self.alpha >= 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.mode not in ("hard", "soft"):
             raise ConfigError(f"mode must be hard or soft, got {self.mode!r}")
         if self.max_relations < 0:

@@ -282,8 +282,8 @@ def soften(
     constraints stay hard. Auxiliary ids continue after the decision
     variables.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     remaining: list[Constraint] = []
     relaxed: list[Constraint] = []
     for constraint in hard:

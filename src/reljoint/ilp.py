@@ -27,14 +27,14 @@ variable with one neighbor (a pendant) folds into that neighbor's
 weight, so a hub's block sides cost one variable each and a path is
 solved without branching. Merges, pendant folds and link folds go on one
 trail, unwound once the smaller problem is solved, which puts the removed
-variables back; every changed weight is the exactly rounded sum of the
-floats it stands for.
+variables back.
 
 Determinism contract: fixed inputs give a fixed result whenever the
-search completes within budget. Selections are compared by the exact sum
-of their coefficients and link penalties: where the rounded sums tie,
-math.fsum of their difference decides, so neither merged weights nor
-rounding decide a comparison. Among optima of exactly equal objective the
+search completes within budget. The component solver weighs in integers:
+every coefficient of a component times one power of two, the same for
+all of them, is an int, so every merged weight, folded link, bound and
+selection value is an exact int sum and every comparison is exact, with
+no rounding to decide one. Among optima of exactly equal objective the
 one that holds the smallest id on which they differ wins, i.e. the
 smallest `(*sorted selected ids, num_vars)` tuple. That order decides a
 union by its parts, so the winners of separate components and
@@ -65,8 +65,8 @@ from .constraints import (
 
 BRUTE_FORCE_LIMIT = 25
 DEFAULT_TIME_BUDGET_MS = 60_000
-# Slack for pruning and near-tie detection; well above float64 noise at
-# desk scale, far below any genuine coefficient gap.
+# brute_force's absolute slack for near-optimal candidates, on top of the
+# relative one its float sums need
 TIE_EPS = 1e-9
 
 _CHUNK_BITS = 18  # brute-force enumeration block size (2**18 masks)
@@ -126,6 +126,9 @@ class IlpModel:
             raise ModelError("variable names are not unique")
         if not 0 <= self.num_decision <= n:
             raise ModelError("num_decision out of range")
+        if not all(map(math.isfinite, self.coeffs)):
+            bad = next(i for i, c in enumerate(self.coeffs) if not math.isfinite(c))
+            raise ModelError(f"coefficient of {self.names[bad]} is not finite: {self.coeffs[bad]}")
 
         def check(i: int, where: str) -> None:
             if not 0 <= i < n:
@@ -444,8 +447,6 @@ class _Timeout(Exception):
 
 
 _Step = Generator["_Step", tuple[int, ...], tuple[int, ...]]
-# the most a rounded sum of weights is off, as a share of the compared magnitudes
-_ROUNDING = 4 * sys.float_info.epsilon
 
 
 def _wins_tie(
@@ -456,6 +457,15 @@ def _wins_tie(
     difference decides, and the tie-break key only an exact tie."""
     excess = math.fsum(terms + [-t for t in rival_terms])
     return excess > 0 or (excess == 0 and key < rival_key)
+
+
+def _scaled(coeffs: Sequence[float]) -> tuple[list[int], int]:
+    """The coefficients as ints, each times the returned scale: the
+    largest denominator of their exact ratios, a power of two that every
+    other denominator divides."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    scale = max((den for _num, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 class _ComponentSolver:
@@ -472,14 +482,13 @@ class _ComponentSolver:
     variable to 1 folds its link penalties into the partners' weights
     (`_fold_links`); the search solves what is left.
 
-    Every weight change - a merge, a pendant fold or a link fold - goes
-    through `_reweigh`: the new weight is the exactly rounded sum of its
-    exact summands, kept in `exact_terms`, and an undo entry goes onto one
-    solver-wide trail. A step `_unwind`s the trail to its length on entry
-    once its subproblems are solved, restoring weights and links and
-    putting back the twins of a selected representative and the pendant
-    of an unselected neighbor. A strict comparison of two weights is thus
-    exact; only ties and sums of weights read the summands.
+    Weights are ints: the model's coefficients scaled by one power of two
+    (`_scaled`), so every sum and comparison of weights is exact. Every
+    weight change - a merge, a pendant fold or a link fold - goes through
+    `_reweigh`, which pushes an undo entry onto one solver-wide trail. A
+    step `_unwind`s the trail to its length on entry once its subproblems
+    are solved, restoring weights and links and putting back the twins of
+    a selected representative and the pendant of an unselected neighbor.
 
     The steps `_solve_free` and `_solve_connected` are generators that
     yield their subproblems' steps; `_search` runs them on an explicit
@@ -493,14 +502,13 @@ class _ComponentSolver:
 
     Variable sets are Python int bitmasks (bit i is variable i): the
     conflict and structural neighborhoods of each variable, and the free
-    set of every subproblem. Sums over a set run in ascending id order.
-    The upper bound reaches its bicliques and at-most-one cliques through
-    a per-variable index, so it visits only those that touch a free
-    positive variable: the bicliques in model order, then the cliques in
-    canonical order. A biclique with one member a side is a pairwise
-    clique, and one over a single bucket is a group, so a model of
-    pairwise rows and groups is bounded the same whichever shape carries
-    them.
+    set of every subproblem. The upper bound reaches its bicliques and
+    at-most-one cliques through a per-variable index, so it visits only
+    those that touch a free positive variable: the bicliques in model
+    order, then the cliques in canonical order. A biclique with one member
+    a side is a pairwise clique, and one over a single bucket is a group,
+    so a model of pairwise rows and groups is bounded the same whichever
+    shape carries them.
     """
 
     def __init__(self, model: IlpModel, deadline: float | None):
@@ -508,7 +516,7 @@ class _ComponentSolver:
         self.deadline = deadline
         self.nodes = 0
         n = model.num_vars
-        self.coeff = list(model.coeffs)
+        self.coeff = coeff = _scaled(model.coeffs)[0]
 
         conflict = _conflict_masks(model)
         # A link costing more than its cheaper endpoint is never paid by an
@@ -516,14 +524,14 @@ class _ComponentSolver:
         # link penalties are <= 0 and the feasible set is downward-closed.
         # It is exactly a conflict edge. The test stays strict: at
         # equality {a, b, aux} ties {b}, and the tie-break prefers it.
-        # links_at[v] = (partner, aux coefficient, link index)
-        self.links_at: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+        # links_at[v] = (partner, aux weight, link index)
+        self.links_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.link_active = [True] * len(model.links)
         hardened: list[tuple[int, int]] = []
         linked = 0
         for idx, (a, b, aux) in enumerate(model.links):
-            penalty = model.coeffs[aux]
-            if penalty + min(model.coeffs[a], model.coeffs[b]) < 0:
+            penalty = coeff[aux]
+            if penalty + min(coeff[a], coeff[b]) < 0:
                 conflict[a] |= 1 << b
                 conflict[b] |= 1 << a
                 hardened.append((min(a, b), max(a, b)))
@@ -558,11 +566,9 @@ class _ComponentSolver:
                 self.cliques_at[i].append(k)
 
         self.struct = _structure_masks(conflict, model.links)
-        # the exact summands of every weight that differs from the model's, and
-        # the changes to undo: (variable, weight and terms before, deactivated
-        # link or -1, variables removed, whether they return with it selected)
-        self.exact_terms: dict[int, list[float]] = {}
-        self.trail: list[tuple[int, float, list[float] | None, int, tuple[int, ...], bool]] = []
+        # the changes to undo: (variable, weight before, deactivated link or
+        # -1, variables removed, whether they return with it selected)
+        self.trail: list[tuple[int, int, int, tuple[int, ...], bool]] = []
         self.merged_twins = 0
         self.folded_pendants = 0
 
@@ -600,7 +606,7 @@ class _ComponentSolver:
 
     def _greedy(self, free: int) -> frozenset[int]:
         """Heaviest-first feasible selection. A variable is taken only if
-        its coefficient plus the penalties of its active links to variables
+        its weight plus the penalties of its active links to variables
         already taken is positive, so the selection never scores below 0."""
         taken = 0
         blocked = 0
@@ -617,72 +623,49 @@ class _ComponentSolver:
                 blocked |= self.conflict[v]
         return frozenset(_bits(taken))
 
-    def _reweigh(self, v: int, terms: list[float], link=-1, gone=(), with_v=False) -> None:
-        """Weigh v as the exactly rounded sum of `terms`, deactivate `link`,
-        if any, and push the undo entry: `gone` left the subproblem and
-        comes back when v is selected (`with_v`) or when it is not."""
-        self.trail.append((v, self.coeff[v], self.exact_terms.get(v), link, gone, with_v))
-        self.exact_terms[v] = terms
+    def _reweigh(self, v: int, weight: int, link=-1, gone=(), with_v=False) -> None:
+        """Give v `weight`, deactivate `link`, if any, and push the undo
+        entry: `gone` left the subproblem and comes back when v is
+        selected (`with_v`) or when it is not."""
+        self.trail.append((v, self.coeff[v], link, gone, with_v))
         if link >= 0:
             self.link_active[link] = False
-        self.coeff[v] = math.fsum(terms)
+        self.coeff[v] = weight
 
     def _unwind(self, mark: int, chosen: set[int] | None = None) -> None:
         """Undo the changes past `mark`, newest first, and put back into
         `chosen`, if given, the twins of a selected representative and
         the pendant of an unselected neighbor."""
-        trail, coeff, exact, active = self.trail, self.coeff, self.exact_terms, self.link_active
+        trail, coeff, active = self.trail, self.coeff, self.link_active
         while len(trail) > mark:
-            v, weight, terms, link, gone, with_v = trail.pop()
+            v, weight, link, gone, with_v = trail.pop()
             coeff[v] = weight
-            if terms is None:
-                del exact[v]
-            else:
-                exact[v] = terms
             if link >= 0:
                 active[link] = True
             elif chosen is not None and (v in chosen) == with_v:
                 chosen.update(gone)
 
-    def _terms(self, ids: Iterable[int], within: set[int] | None = None) -> list[float]:
-        """Floats whose exact sum is the current total weight of `ids`:
-        each one's stored terms, else its model coefficient. Given
-        `within`, the set of `ids`, the penalties of the active links
-        between two of them follow too, each once."""
-        coeffs, exact, active = self.model.coeffs, self.exact_terms, self.link_active
-        out: list[float] = []
-        for i in ids:
-            out.extend(exact.get(i) or (coeffs[i],))
-            if within is not None:
-                for partner, aux_coeff, idx in self.links_at[i]:
-                    if active[idx] and i < partner and partner in within:
-                        out.append(aux_coeff)
-        return out
+    def _value_and_tiebreak(self, selection: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        """Subproblem value and tie-break tuple of a selection.
 
-    def _excess(self, plus: Iterable[int], minus: Iterable[int]) -> float:
-        """The exactly rounded weight of `plus` minus that of `minus`: its
-        sign is exact even where the weights round to a tie."""
-        return math.fsum(self._terms(plus) + [-t for t in self._terms(minus)])
-
-    def _value_and_tiebreak(
-        self, selection: Iterable[int]
-    ) -> tuple[float, tuple[int, ...], list[float]]:
-        """Canonical subproblem value, tie-break tuple and value terms.
-
-        The terms are those of the selection's current weights plus the
-        penalties of still-active links internal to it; the value is their
-        exactly rounded sum. The tuple is the sorted selection plus a
+        The value is its current weights plus the penalties of still-active
+        links internal to it. The tuple is the sorted selection plus a
         sentinel: auxiliary ids are larger than every decision id and
         follow from the decision ids, so the decision ids alone decide the
         smallest differing id.
         """
         sel = set(selection)
-        ordered = sorted(sel)
-        terms = self._terms(ordered, sel)
-        return math.fsum(terms), (*ordered, self.model.num_vars), terms
+        coeff, active = self.coeff, self.link_active
+        value = 0
+        for i in sel:
+            value += coeff[i]
+            for partner, aux_coeff, idx in self.links_at[i]:
+                if active[idx] and i < partner and partner in sel:
+                    value += aux_coeff
+        return value, (*sorted(sel), self.model.num_vars)
 
-    def _upper_bound(self, free: int) -> float:
-        """Optimistic value of a free set: positive coefficients, each
+    def _upper_bound(self, free: int) -> int:
+        """Optimistic value of a free set: positive weights, each
         at-most-one clique discounted to its single best free member, each
         biclique to its heavier side, max(sum A, sum B) over its free
         members, then each active link between two still-undiscounted
@@ -693,7 +676,7 @@ class _ComponentSolver:
         most once, so the parts bound disjoint sets."""
         coeff = self.coeff
         positive = [i for i in _bits(free) if coeff[i] > 0]
-        bound = 0.0
+        bound = 0
         touched: set[int] = set()
         for i in positive:
             bound += coeff[i]
@@ -752,7 +735,7 @@ class _ComponentSolver:
         for members in classes.values():
             if len(members) > 1:
                 rep, others = members[0], tuple(members[1:])
-                self._reweigh(rep, self._terms(members), gone=others, with_v=True)
+                self._reweigh(rep, sum(coeff[t] for t in members), gone=others, with_v=True)
                 for t in others:
                     free &= ~(1 << t)
                 self.merged_twins += len(others)
@@ -773,11 +756,10 @@ class _ComponentSolver:
                 not 0 <= u < v
                 or nmask != 1 << u
                 or coeff[v] > coeff[u]
-                or (coeff[v] == coeff[u] and self._excess([v], [u]) > 0)
                 or self._has_live_link(u, remaining)
             ):
                 return remaining
-            self._reweigh(u, self._terms([u]) + [-t for t in self._terms([v])], gone=(v,))
+            self._reweigh(u, coeff[u] - coeff[v], gone=(v,))
             remaining &= ~(1 << v)
             self.folded_pendants += 1
             v = u
@@ -787,7 +769,7 @@ class _ComponentSolver:
 
         Run to fixpoint over the current graph:
 
-        * negative coefficient: selecting it strictly loses, so drop;
+        * negative weight: selecting it strictly loses, so drop;
         * neighborhood-sum domination: a link-free variable strictly
           outweighing its whole conflict neighborhood is in every optimum,
           so commit it and drop the neighborhood;
@@ -795,14 +777,9 @@ class _ComponentSolver:
           its remaining neighborhood at no smaller weight (ties to the
           smaller id) is in no tie-preferred optimum, so drop it;
         * pendant fold (`_fold_pendants`).
-
-        Weights are exactly rounded sums, so a strict comparison of two is
-        exact; where two tie, or a domination sum is too close to call,
-        their exact summands decide.
         """
         coeff = self.coeff
         conflict = self.conflict
-        exact = self.exact_terms
         remaining = free
         forced: list[int] = []
         changed = True
@@ -819,25 +796,16 @@ class _ComponentSolver:
                 nmask = conflict[v] & remaining
                 neighborhood = _bits(nmask)
                 link_free = not self._has_live_link(v, remaining)
-                if link_free:
-                    rival = math.fsum([coeff[u] for u in neighborhood if coeff[u] > 0])
-                    if coeff[v] > rival and (
-                        coeff[v] - rival > _ROUNDING * (coeff[v] + rival)
-                        or self._excess([v], [u for u in neighborhood if coeff[u] > 0]) > 0
-                    ):
-                        forced.append(v)
-                        remaining &= ~(vbit | nmask)
-                        changed = True
-                        continue
+                if link_free and coeff[v] > sum(coeff[u] for u in neighborhood if coeff[u] > 0):
+                    forced.append(v)
+                    remaining &= ~(vbit | nmask)
+                    changed = True
+                    continue
                 dominated = False
                 outside = remaining & ~(vbit | nmask)
                 for u in neighborhood:
-                    if coeff[u] < coeff[v]:
+                    if coeff[u] < coeff[v] or (coeff[u] == coeff[v] and u > v):
                         continue
-                    if coeff[u] == coeff[v]:
-                        excess = self._excess([u], [v]) if u in exact or v in exact else 0.0
-                        if excess < 0 or (excess == 0 and u > v):
-                            continue
                     if self._has_live_link(u, remaining):
                         continue
                     if not conflict[u] & outside:
@@ -880,9 +848,9 @@ class _ComponentSolver:
         )
         vbit = 1 << v
 
-        # (value, tie-break tuple, value terms, selection)
-        best: tuple[float, tuple[int, ...], list[float], tuple[int, ...]] | None = None
-        # a strictly negative variable is in no optimum; zero-coefficient
+        # (value, tie-break tuple, selection)
+        best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
+        # a strictly negative variable is in no optimum; zero-weight
         # ones still branch, since the tie-break may want them selected
         if self.coeff[v] >= 0:
             rest = free & ~(vbit | self.conflict[v])
@@ -894,27 +862,26 @@ class _ComponentSolver:
             best = (*self._value_and_tiebreak(include), include)
 
         rest0 = free & ~vbit
-        explore = best is None or self._upper_bound(rest0) >= best[0] - TIE_EPS
-        if explore:
+        if best is None or self._upper_bound(rest0) >= best[0]:
             sub0 = yield self._solve_free(rest0)
-            value0, tiebreak0, terms0 = self._value_and_tiebreak(sub0)
+            value0, tiebreak0 = self._value_and_tiebreak(sub0)
             if (
                 best is None
                 or value0 > best[0]
-                or (value0 == best[0] and _wins_tie(terms0, tiebreak0, best[2], best[1]))
+                or (value0 == best[0] and tiebreak0 < best[1])
             ):
-                best = (value0, tiebreak0, terms0, sub0)
-        return best[3]
+                best = (value0, tiebreak0, sub0)
+        return best[2]
 
     def _fold_links(self, v: int, remaining: int) -> None:
         """Commit v=1: fold each active link's penalty into its partner.
 
         Afterwards a partner's selection already pays the forced auxiliary
         penalty through its weight."""
-        coeffs, exact, active = self.model.coeffs, self.exact_terms, self.link_active
+        coeff, active = self.coeff, self.link_active
         for partner, aux_coeff, idx in self.links_at[v]:
             if active[idx] and remaining >> partner & 1:
-                self._reweigh(partner, exact.get(partner, [coeffs[partner]]) + [aux_coeff], idx)
+                self._reweigh(partner, coeff[partner] + aux_coeff, idx)
 
 
 def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> Solution:
@@ -982,7 +949,9 @@ def brute_force(model: IlpModel) -> Solution:
 
     Uses the same canonical objective and tie-break as solve. The
     enumeration is vectorized in blocks; near-maximal assignments are
-    re-evaluated exactly before the winner is chosen. numpy is imported
+    re-evaluated exactly before the winner is chosen. "Near" is TIE_EPS
+    plus twice the error of an n-term float sum: n * eps / 2 times n times
+    the largest magnitude, which cannot overflow. numpy is imported
     here, not at module level, so that importing the package (and every
     command line run) does not load it.
     """
@@ -994,6 +963,7 @@ def brute_force(model: IlpModel) -> Solution:
         raise ValueError(f"brute_force refuses models with more than {BRUTE_FORCE_LIMIT} variables")
     coeffs = np.asarray(model.coeffs, dtype=np.float64)
     total = 1 << n
+    slack = TIE_EPS + n * n * sys.float_info.epsilon * max(map(abs, model.coeffs), default=0.0)
     best_approx = -math.inf
     candidates: list[int] = []
 
@@ -1027,7 +997,7 @@ def brute_force(model: IlpModel) -> Solution:
         if chunk_best == -math.inf:
             continue
         best_approx = max(best_approx, chunk_best)
-        near = np.nonzero(objective >= best_approx - TIE_EPS)[0]
+        near = np.nonzero(objective >= best_approx - slack)[0]
         candidates.extend(int(masks[k]) for k in near)
         if len(candidates) > (1 << 20):
             raise RuntimeError("degenerate tie plateau in brute-force enumeration")
@@ -1039,7 +1009,7 @@ def brute_force(model: IlpModel) -> Solution:
         selected = tuple(i for i in range(n) if mask >> i & 1)
         terms = [model.coeffs[i] for i in selected]
         value = math.fsum(terms)
-        if value < best_approx - TIE_EPS:
+        if value < best_approx - slack:
             continue
         key = (*selected, n)
         if value > best_value or (

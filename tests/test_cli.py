@@ -278,6 +278,33 @@ def test_nan_clue_score_exits_2(tmp_path, capsys, world):
 
 
 @pytest.mark.parametrize(
+    "k_score, alpha, code, message",
+    [
+        (0.0, "inf", 1, "config error: alpha must be finite"),  # inf * 0 would be a NaN penalty
+        (-10.0, "1e308", 2, "data error: coefficient of aux_0_1 is not finite"),  # overflows
+    ],
+    ids=["infinite-alpha", "overflowing-penalty"],
+)
+def test_non_finite_soft_penalty_exits(tmp_path, capsys, k_score, alpha, code, message):
+    record = {
+        "pair_id": "p", "subject": "a", "object": "b", "mention_id": "m0",
+        "scores": {"r1": 0.5, "r2": 0.4},
+    }
+    predictions = write_lines(tmp_path / "p.jsonl", [json.dumps(record)])
+    clues = tmp_path / "clues.json"
+    clues.write_text(json.dumps({"sr": [{"relations": ["r1", "r2"], "k_score": k_score}]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["solve", "--predictions", str(predictions), "--clues", str(clues),
+             "--out-dir", str(tmp_path / "run"), "--mode", "soft", "--alpha", alpha]
+        )
+    assert exit_info.value.code == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "predictions.tsv").exists()
+
+
+@pytest.mark.parametrize(
     "payload", ['{"ou": 5}', '{"sr": "ab"}', '{"su": [{"relation": "a", "ratio": true}]}']
 )
 def test_misshapen_clue_file_exits_2(tmp_path, capsys, world, payload):

@@ -220,6 +220,12 @@ class TestSoften:
         with pytest.raises(ValueError):
             soften(vars, hard, alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        vars, hard = self.make(-2.0)
+        with pytest.raises(ValueError, match="finite"):
+            soften(vars, hard, alpha=alpha)
+
 
 def test_dump_constraints_file(tmp_path):
     from reljoint.constraints import dump_constraints, soften
