@@ -1,8 +1,9 @@
 """Command-line pipeline: mine, candidates, solve, eval, synth, export-lp.
 
-Every switch mirrors a RunConfig field; a JSON config file can preset any
-of them and explicit flags win. Exit codes: 0 success, 1 usage or
-configuration problem, 2 unreadable or malformed data.
+Each RunConfig field has one flag, declared once in `_configured`; a JSON
+config file can preset any field and explicit flags win. Exit codes: 0
+success, 1 usage or configuration problem, found before any data is read
+or output written, 2 unreadable or malformed data.
 """
 
 from __future__ import annotations
@@ -112,18 +113,48 @@ def cli() -> None:
     """Joint inference over relation predictions with KB-mined clues."""
 
 
-_config_option = click.option("--config", "config_path", type=click.Path(), default=None)
+def _configured(*names):
+    """Give a command `--config` and one `--kebab-name` flag for each named
+    RunConfig field, typed by the field's default. The flags default to
+    None, so an absent one leaves the config file's value."""
+    options = [click.option("--config", "config_path", type=click.Path(), default=None)]
+    for f in fields(RunConfig):
+        if f.name in names:
+            kind = click.Choice(["hard", "soft"]) if f.name == "mode" else type(f.default)
+            options.append(click.option("--" + f.name.replace("_", "-"), type=kind, default=None))
+
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
+
+
+def _clue_kinds(_ctx, _param, value: str | None) -> list[str] | None:
+    kinds = value.split(",") if value else None
+    unknown = set(kinds or ()) - set(clue_mod.ALL_KINDS)
+    if unknown:
+        raise click.BadParameter(f"unknown clue kinds {sorted(unknown)}")
+    return kinds
+
+
+_predictions = click.option("--predictions", "predictions_path", required=True, type=click.Path())
+_clues = click.option("--clues", "clue_paths", multiple=True, type=click.Path())
+_families = click.option(
+    "--families", default=None, callback=_clue_kinds, help="comma-separated clue families to keep"
+)
+_out = click.option("--out", "out_path", required=True, type=click.Path())
+_out_dir = click.option("--out-dir", "out_dir", required=True, type=click.Path())
 
 
 @cli.command()
-@_config_option
+@_configured("kappa", "uniq_threshold")
 @click.option("--triples", "triples_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--kappa", type=float, default=None)
-@click.option("--uniq-threshold", type=float, default=None)
-def mine(config_path, triples_path, out_path, kappa, uniq_threshold):
+@_out
+def mine(config_path, triples_path, out_path, **overrides):
     """Mine type and uniqueness clues from a KB triple file."""
-    config = _resolve_config(config_path, {"kappa": kappa, "uniq_threshold": uniq_threshold})
+    config = _resolve_config(config_path, overrides)
     kb = load_triples(triples_path)
     clues = clue_mod.mine_clues(kb, config.kappa, config.uniq_threshold)
     clue_mod.save_clue_file(clues, out_path)
@@ -136,16 +167,12 @@ def mine(config_path, triples_path, out_path, kappa, uniq_threshold):
 
 
 @cli.command("candidates")
-@_config_option
-@click.option("--predictions", "predictions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--top-k", type=int, default=None)
-@click.option("--conf-threshold", type=float, default=None)
-def candidates_cmd(config_path, predictions_path, out_path, top_k, conf_threshold):
+@_configured("top_k", "conf_threshold")
+@_predictions
+@_out
+def candidates_cmd(config_path, predictions_path, out_path, **overrides):
     """Aggregate mention scores into per-pair candidate sets."""
-    config = _resolve_config(
-        config_path, {"top_k": top_k, "conf_threshold": conf_threshold}
-    )
+    config = _resolve_config(config_path, overrides)
     mentions = cand.load_predictions(predictions_path)
     pairs = cand.build_pair_candidates(mentions, config.top_k, config.conf_threshold)
     payload = {
@@ -172,7 +199,7 @@ def _build_pipeline(predictions_path, clue_paths, config, families):
     pairs = cand.build_pair_candidates(mentions, config.top_k, config.conf_threshold)
     clues = _load_clue_files(clue_paths)
     if families:
-        clues = clues.restrict(families.split(","))
+        clues = clues.restrict(families)
     if config.max_relations:
         clues = clue_mod.prune_clues(clues, pairs, config.max_relations)
     return mentions, pairs, clues
@@ -188,46 +215,20 @@ def _build_model(pairs, clues, config):
 
 
 @cli.command()
-@_config_option
-@click.option("--predictions", "predictions_path", required=True, type=click.Path())
-@click.option("--clues", "clue_paths", multiple=True, type=click.Path())
-@click.option("--out-dir", "out_dir", required=True, type=click.Path())
+@_configured("mode", "alpha", "top_k", "conf_threshold", "max_relations", "time_budget_ms")
+@_predictions
+@_clues
+@_out_dir
 @click.option("--method", type=click.Choice(["ilp", "mintzpp", "rule"]), default="ilp")
-@click.option("--mode", type=click.Choice(["hard", "soft"]), default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--top-k", type=int, default=None)
-@click.option("--conf-threshold", type=float, default=None)
-@click.option("--max-relations", type=int, default=None)
-@click.option("--time-budget-ms", type=int, default=None)
-@click.option("--families", type=str, default=None, help="comma-separated clue families to keep")
+@_families
 @click.option("--dump-constraints", "dump_path", type=click.Path(), default=None)
 def solve(
-    config_path,
-    predictions_path,
-    clue_paths,
-    out_dir,
-    method,
-    mode,
-    alpha,
-    top_k,
-    conf_threshold,
-    max_relations,
-    time_budget_ms,
-    families,
-    dump_path,
+    config_path, predictions_path, clue_paths, out_dir, method, families, dump_path, **overrides
 ):
     """Select a consistent prediction set and write it with a constraint census."""
-    config = _resolve_config(
-        config_path,
-        {
-            "mode": mode,
-            "alpha": alpha,
-            "top_k": top_k,
-            "conf_threshold": conf_threshold,
-            "max_relations": max_relations,
-            "time_budget_ms": time_budget_ms,
-        },
-    )
+    config = _resolve_config(config_path, overrides)
+    if dump_path and method != "ilp":
+        raise click.UsageError("--dump-constraints is only meaningful with --method ilp")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mentions, pairs, clues = _build_pipeline(predictions_path, clue_paths, config, families)
@@ -238,8 +239,6 @@ def solve(
         "pairs_with_candidates": len(pairs),
         "clues": clues.counts(),
     }
-    if dump_path and method != "ilp":
-        raise ConfigError("--dump-constraints is only meaningful with --method ilp")
     if method == "mintzpp":
         ranked = ev.mintzpp(mentions)
     elif method == "rule":
@@ -269,10 +268,10 @@ def solve(
 
 
 @cli.command("eval")
-@_config_option
-@click.option("--predictions", "predictions_path", required=True, type=click.Path())
+@_configured()
+@_predictions
 @click.option("--gold", "gold_path", required=True, type=click.Path())
-@click.option("--out-dir", "out_dir", required=True, type=click.Path())
+@_out_dir
 @click.option("--baseline", "baseline_path", type=click.Path(), default=None)
 def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
     """Precision-recall curve and peak F1 against gold; optional diff."""
@@ -315,17 +314,16 @@ def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
 
 
 @cli.command()
-@_config_option
-@click.option("--out-dir", "out_dir", required=True, type=click.Path())
+@_configured("seed")
+@_out_dir
 @click.option("--pairs", type=int, default=500)
 @click.option("--noise", type=float, default=0.3)
 @click.option("--mode", "world_mode", type=click.Choice(["conflict", "riedel"]), default="conflict")
-@click.option("--seed", type=int, default=None)
 @click.option("--mentions-min", type=int, default=1)
 @click.option("--mentions-max", type=int, default=3)
-def synth(config_path, out_dir, pairs, noise, world_mode, seed, mentions_min, mentions_max):
+def synth(config_path, out_dir, pairs, noise, world_mode, mentions_min, mentions_max, **overrides):
     """Generate a seeded synthetic world (KB, gold task, noisy mentions)."""
-    config = _resolve_config(config_path, {"seed": seed})
+    config = _resolve_config(config_path, overrides)
     try:
         synth_config = synth_mod.SynthConfig(
             seed=config.seed,
@@ -343,39 +341,14 @@ def synth(config_path, out_dir, pairs, noise, world_mode, seed, mentions_min, me
 
 
 @cli.command("export-lp")
-@_config_option
-@click.option("--predictions", "predictions_path", required=True, type=click.Path())
-@click.option("--clues", "clue_paths", multiple=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--mode", type=click.Choice(["hard", "soft"]), default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--top-k", type=int, default=None)
-@click.option("--conf-threshold", type=float, default=None)
-@click.option("--max-relations", type=int, default=None)
-@click.option("--families", type=str, default=None)
-def export_lp_cmd(
-    config_path,
-    predictions_path,
-    clue_paths,
-    out_path,
-    mode,
-    alpha,
-    top_k,
-    conf_threshold,
-    max_relations,
-    families,
-):
+@_configured("mode", "alpha", "top_k", "conf_threshold", "max_relations")
+@_predictions
+@_clues
+@_out
+@_families
+def export_lp_cmd(config_path, predictions_path, clue_paths, out_path, families, **overrides):
     """Write the model as an LP text file for an external solver."""
-    config = _resolve_config(
-        config_path,
-        {
-            "mode": mode,
-            "alpha": alpha,
-            "top_k": top_k,
-            "conf_threshold": conf_threshold,
-            "max_relations": max_relations,
-        },
-    )
+    config = _resolve_config(config_path, overrides)
     _mentions, pairs, clues = _build_pipeline(predictions_path, clue_paths, config, families)
     _vars, _hard, _soft, model = _build_model(pairs, clues, config)
     ilp.export_lp(model, out_path)

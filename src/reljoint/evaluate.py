@@ -290,7 +290,14 @@ def read_ranked_predictions(path: str | Path) -> list[RankedPrediction]:
             if len(fields) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             pair_id, subject, relation, obj, score = fields
-            out.append(RankedPrediction(pair_id, subject, obj, relation, float(score)))
+            try:
+                value = float(score)
+            except ValueError:
+                value = math.nan
+            # a NaN would make the ranking depend on the line order
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: score {score!r} is not a finite number")
+            out.append(RankedPrediction(pair_id, subject, obj, relation, value))
     return out
 
 

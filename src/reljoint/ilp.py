@@ -65,9 +65,6 @@ from .constraints import (
 
 BRUTE_FORCE_LIMIT = 25
 DEFAULT_TIME_BUDGET_MS = 60_000
-# brute_force's absolute slack for near-optimal candidates, on top of the
-# relative one its float sums need
-TIE_EPS = 1e-9
 
 _CHUNK_BITS = 18  # brute-force enumeration block size (2**18 masks)
 
@@ -129,6 +126,12 @@ class IlpModel:
         if not all(map(math.isfinite, self.coeffs)):
             bad = next(i for i, c in enumerate(self.coeffs) if not math.isfinite(c))
             raise ModelError(f"coefficient of {self.names[bad]} is not finite: {self.coeffs[bad]}")
+        # every selection's objective lies between these two sums
+        try:
+            math.fsum(c for c in self.coeffs if c > 0)
+            math.fsum(c for c in self.coeffs if c < 0)
+        except OverflowError:
+            raise ModelError("the positive or negative coefficients overflow a float sum") from None
 
         def check(i: int, where: str) -> None:
             if not 0 <= i < n:
@@ -447,16 +450,6 @@ class _Timeout(Exception):
 
 
 _Step = Generator["_Step", tuple[int, ...], tuple[int, ...]]
-
-
-def _wins_tie(
-    terms: list[float], key: tuple[int, ...], rival_terms: list[float], rival_key: tuple[int, ...]
-) -> bool:
-    """Whether a selection beats a rival of equal fsum value. Exactly
-    rounded sums can tie where the exact sums differ, so the exact
-    difference decides, and the tie-break key only an exact tie."""
-    excess = math.fsum(terms + [-t for t in rival_terms])
-    return excess > 0 or (excess == 0 and key < rival_key)
 
 
 def _scaled(coeffs: Sequence[float]) -> tuple[list[int], int]:
@@ -948,13 +941,17 @@ def brute_force(model: IlpModel) -> Solution:
     """Exhaustive oracle over every feasible assignment (<= 25 variables).
 
     Uses the same canonical objective and tie-break as solve. The
-    enumeration is vectorized in blocks; near-maximal assignments are
-    re-evaluated exactly before the winner is chosen. "Near" is TIE_EPS
-    plus twice the error of an n-term float sum: n * eps / 2 times n times
-    the largest magnitude, which cannot overflow. numpy is imported
-    here, not at module level, so that importing the package (and every
-    command line run) does not load it.
+    enumeration is vectorized in blocks of float sums; the winner is the
+    near-maximal assignment of greatest exact `Fraction` sum, the smallest
+    tie-break tuple among equals. "Near" is twice the error of an n-term
+    float sum, n * eps / 2 times n times the largest magnitude, which
+    covers the rounding of both the assignment's sum and the best one's
+    and cannot overflow. numpy and fractions are imported here, not at
+    module level, so that importing the package (and every command line
+    run) does not load them.
     """
+    from fractions import Fraction
+
     import numpy as np
 
     start = time.monotonic()
@@ -963,7 +960,7 @@ def brute_force(model: IlpModel) -> Solution:
         raise ValueError(f"brute_force refuses models with more than {BRUTE_FORCE_LIMIT} variables")
     coeffs = np.asarray(model.coeffs, dtype=np.float64)
     total = 1 << n
-    slack = TIE_EPS + n * n * sys.float_info.epsilon * max(map(abs, model.coeffs), default=0.0)
+    slack = n * n * sys.float_info.epsilon * max(map(abs, model.coeffs), default=0.0)
     best_approx = -math.inf
     candidates: list[int] = []
 
@@ -1002,22 +999,12 @@ def brute_force(model: IlpModel) -> Solution:
         if len(candidates) > (1 << 20):
             raise RuntimeError("degenerate tie plateau in brute-force enumeration")
 
-    best_value = -math.inf
-    best_key = (n,)  # tie-break tuple: the sorted selection, then n
-    best_terms: list[float] = []
-    for mask in candidates:
-        selected = tuple(i for i in range(n) if mask >> i & 1)
-        terms = [model.coeffs[i] for i in selected]
-        value = math.fsum(terms)
-        if value < best_approx - slack:
-            continue
-        key = (*selected, n)
-        if value > best_value or (
-            value == best_value and _wins_tie(terms, key, best_terms, best_key)
-        ):
-            best_value, best_key, best_terms = value, key, terms
+    def rank(selected: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
+        # the greater exact sum first, then the smaller tie-break tuple
+        return -sum(map(Fraction, (model.coeffs[i] for i in selected))), (*selected, n)
 
-    best = best_key[:-1]
+    selections = (tuple(i for i in range(n) if mask >> i & 1) for mask in candidates)
+    best = min(selections, key=rank)
     assignment = {i: 0 for i in range(n)}
     for i in best:
         assignment[i] = 1

@@ -370,6 +370,123 @@ def test_run_config_defaults_match_documented_values():
     assert config.max_relations == 0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "--families", "sr,xx"], "unknown clue kinds ['xx']"),
+        (["export-lp", "--families", "sr,xx"], "unknown clue kinds ['xx']"),
+        (["solve", "--method", "rule", "--dump-constraints", "DUMP"], "only meaningful"),
+    ],
+    ids=["solve-unknown-family", "export-lp-unknown-family", "dump-without-ilp"],
+)
+def test_usage_error_exits_1_before_any_file_is_touched(tmp_path, capsys, args, message):
+    out = "--out-dir" if args[0] == "solve" else "--out"
+    argv = [a.replace("DUMP", str(tmp_path / "dump.tsv")) for a in args]
+    # the predictions file does not exist: a usage error must come first
+    argv += ["--predictions", str(tmp_path / "missing.jsonl"), out, str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_non_finite_ranked_score_exits_2(tmp_path, capsys, world):
+    predictions = write_lines(tmp_path / "run.tsv", ["p0\ts\tr\to\tnan"])
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["eval", "--predictions", str(predictions), "--gold", str(world.gold_path),
+             "--out-dir", str(tmp_path / "eval")]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "run.tsv:1: score 'nan' is not a finite number" in err
+    assert "Traceback" not in err
+
+
+# every command's options as released: flag -> (parameter, type or
+# choices, default, required, multiple)
+RELEASED_OPTIONS = {
+    "mine": {
+        "--config": ("config_path", "path", None, False, False),
+        "--triples": ("triples_path", "path", None, True, False),
+        "--out": ("out_path", "path", None, True, False),
+        "--kappa": ("kappa", "float", None, False, False),
+        "--uniq-threshold": ("uniq_threshold", "float", None, False, False),
+    },
+    "candidates": {
+        "--config": ("config_path", "path", None, False, False),
+        "--predictions": ("predictions_path", "path", None, True, False),
+        "--out": ("out_path", "path", None, True, False),
+        "--top-k": ("top_k", "integer", None, False, False),
+        "--conf-threshold": ("conf_threshold", "float", None, False, False),
+    },
+    "solve": {
+        "--config": ("config_path", "path", None, False, False),
+        "--predictions": ("predictions_path", "path", None, True, False),
+        "--clues": ("clue_paths", "path", None, False, True),
+        "--out-dir": ("out_dir", "path", None, True, False),
+        "--method": ("method", ("ilp", "mintzpp", "rule"), "ilp", False, False),
+        "--mode": ("mode", ("hard", "soft"), None, False, False),
+        "--alpha": ("alpha", "float", None, False, False),
+        "--top-k": ("top_k", "integer", None, False, False),
+        "--conf-threshold": ("conf_threshold", "float", None, False, False),
+        "--max-relations": ("max_relations", "integer", None, False, False),
+        "--time-budget-ms": ("time_budget_ms", "integer", None, False, False),
+        "--families": ("families", "text", None, False, False),
+        "--dump-constraints": ("dump_path", "path", None, False, False),
+    },
+    "eval": {
+        "--config": ("config_path", "path", None, False, False),
+        "--predictions": ("predictions_path", "path", None, True, False),
+        "--gold": ("gold_path", "path", None, True, False),
+        "--out-dir": ("out_dir", "path", None, True, False),
+        "--baseline": ("baseline_path", "path", None, False, False),
+    },
+    "synth": {
+        "--config": ("config_path", "path", None, False, False),
+        "--out-dir": ("out_dir", "path", None, True, False),
+        "--pairs": ("pairs", "integer", 500, False, False),
+        "--noise": ("noise", "float", 0.3, False, False),
+        "--mode": ("world_mode", ("conflict", "riedel"), "conflict", False, False),
+        "--seed": ("seed", "integer", None, False, False),
+        "--mentions-min": ("mentions_min", "integer", 1, False, False),
+        "--mentions-max": ("mentions_max", "integer", 3, False, False),
+    },
+    "export-lp": {
+        "--config": ("config_path", "path", None, False, False),
+        "--predictions": ("predictions_path", "path", None, True, False),
+        "--clues": ("clue_paths", "path", None, False, True),
+        "--out": ("out_path", "path", None, True, False),
+        "--mode": ("mode", ("hard", "soft"), None, False, False),
+        "--alpha": ("alpha", "float", None, False, False),
+        "--top-k": ("top_k", "integer", None, False, False),
+        "--conf-threshold": ("conf_threshold", "float", None, False, False),
+        "--max-relations": ("max_relations", "integer", None, False, False),
+        "--families": ("families", "text", None, False, False),
+    },
+}
+
+
+def test_every_command_keeps_its_released_options():
+    def signature(param):
+        kind = getattr(param.type, "choices", None)
+        # click versions differ in what they store as the default of a
+        # required or repeated option; neither has one of its own
+        default = None if param.required or param.multiple else param.default
+        return (param.name, tuple(kind) if kind else param.type.name, default,
+                param.required, param.multiple)
+
+    actual = {
+        name: {param.opts[0]: signature(param) for param in command.params}
+        for name, command in cli.commands.items()
+    }
+    assert actual == RELEASED_OPTIONS
+    assert all(len(command.params) == len(RELEASED_OPTIONS[name])
+               for name, command in cli.commands.items())
+
+
 def test_solve_dump_constraints(runner, world, tmp_path):
     clues = tmp_path / "clues.json"
     invoke(runner, ["mine", "--triples", str(world.triples_path), "--out", str(clues)])

@@ -27,6 +27,7 @@ from reljoint.ilp import build_model, check_assignment, solve
 from reljoint.kb import load_triples
 from reljoint.synth import SynthConfig, generate
 
+from conftest import write_lines
 from test_constraints import random_world
 
 
@@ -313,6 +314,26 @@ class TestRankedIo:
         write_ranked_predictions(path, preds)
         loaded = read_ranked_predictions(path)
         assert loaded == sorted(preds, key=lambda p: (-p.score, p.pair_id, p.relation))
+
+    @pytest.mark.parametrize(
+        "order, score, line",
+        [
+            ((0, 1, 2, 3), "nan", 2),
+            ((3, 2, 0, 1), "nan", 4),
+            ((0, 1, 2, 3), "-inf", 2),
+            ((0, 1, 2, 3), "high", 2),
+        ],
+    )
+    def test_score_that_is_no_finite_number_rejected(self, tmp_path, order, score, line):
+        # read unchecked, the NaN lines gave peak F1 0.8571 in the first
+        # order and 1.0 in the second against gold o0, o2 and o3, since
+        # sorting compared NaN
+        scores = ["0.9", score, "0.5", "0.1"]
+        lines = [f"p{i}\ts\tr\to{i}\t{value}" for i, value in enumerate(scores)]
+        path = write_lines(tmp_path / "preds.tsv", [lines[i] for i in order])
+        message = rf"preds.tsv:{line}: score '{score}' is not a finite number"
+        with pytest.raises(ValueError, match=message):
+            read_ranked_predictions(path)
 
     def test_ranked_from_solution_scores_by_coefficient(self):
         candidates = [pc("p1", "e", "o1", {"r1": 0.6}), pc("p2", "e", "o2", {"r2": 0.4})]

@@ -88,6 +88,16 @@ class TestBuildModel:
         with pytest.raises(ModelError, match="x1 is not finite"):
             IlpModel(coeffs=[1.0, bad], num_decision=2)
 
+    def test_overflowing_coefficient_sum_rejected(self):
+        # solve and brute_force would die summing a selection's objective
+        for coeffs in ([1e308, 1e308], [0.5, -1e308, -1e308]):
+            with pytest.raises(ModelError, match="overflow a float sum"):
+                IlpModel(coeffs=coeffs, num_decision=len(coeffs))
+        model = IlpModel(coeffs=[1e308, 7e307, -1e308, -7e307], num_decision=4)
+        for entry_point in (solve, brute_force):
+            solution = entry_point(model)
+            assert solution.selected() == [0, 1] and solution.objective_value == 1.7e308
+
     def test_sparse_ids_rejected(self):
         vars = [DecisionVar(3, "p", "s", "o", "r", 1.0)]
         with pytest.raises(ModelError):
