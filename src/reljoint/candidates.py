@@ -175,6 +175,9 @@ def load_predictions(path: str | Path) -> dict[str, list[MentionPrediction]]:
                 raise PredictionFileError(f"invalid JSON ({exc})", path, lineno) from exc
             try:
                 mention = _mention(record)
+                # strict JSON holds a tab or newline only as an escape
+                if "\\" in line:
+                    _check_separators(mention)
             except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
                 raise PredictionFileError(f"bad record ({exc})", path, lineno) from exc
             if math.fsum(mention.scores.values()) > 1.0 + 1e-6 * len(mention.scores):
@@ -205,6 +208,15 @@ def _mention(record) -> MentionPrediction:
         mention_id=record["mention_id"],
         scores=scores,
     )
+
+
+def _check_separators(mention: MentionPrediction) -> None:
+    """Ids and relation names go into tab-separated lines, so none may hold
+    a tab, newline or carriage return."""
+    named = [(name, getattr(mention, name)) for name in _ID_FIELDS]
+    for name, value in named + [("relation", rel) for rel in mention.scores]:
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise ValueError(f"{name} {value!r} holds a tab, newline or carriage return")
 
 
 def write_predictions_file(path: str | Path, mentions: Iterable[MentionPrediction]) -> None:

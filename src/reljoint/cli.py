@@ -229,9 +229,10 @@ def solve(
     config = _resolve_config(config_path, overrides)
     if dump_path and method != "ilp":
         raise click.UsageError("--dump-constraints is only meaningful with --method ilp")
+    mentions, pairs, clues = _build_pipeline(predictions_path, clue_paths, config, families)
+    # every input is read: a data error leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mentions, pairs, clues = _build_pipeline(predictions_path, clue_paths, config, families)
 
     census_payload: dict = {
         "method": method,
@@ -276,14 +277,16 @@ def solve(
 def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
     """Precision-recall curve and peak F1 against gold; optional diff."""
     _resolve_config(config_path, {})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     predictions = ev.read_ranked_predictions(predictions_path)
     gold = {(t.subject, t.relation, t.object) for t in read_triples(gold_path)}
     if not gold:
         raise ValueError(f"gold file {gold_path} holds no triples")
+    baseline = ev.read_ranked_predictions(baseline_path) if baseline_path else None
     curve = ev.pr_curve(predictions, gold)
     peak = ev.peak_f1(curve)
+    # every input is read: a data error leaves no directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     ev.write_pr_csv(out / "pr_curve.csv", curve)
     summary = {
         "predictions": len(predictions),
@@ -296,8 +299,7 @@ def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
         },
     }
     _write_json(out / "summary.json", summary)
-    if baseline_path:
-        baseline = ev.read_ranked_predictions(baseline_path)
+    if baseline is not None:
         diff = ev.diff_analysis(baseline, predictions, gold)
         _write_json(
             out / "diff.json",

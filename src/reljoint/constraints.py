@@ -57,10 +57,6 @@ class HardConstraint:
     var_ids: tuple[int, ...]
     clue: TypeClue | UniquenessClue
 
-    @property
-    def k_score(self) -> float:
-        return self.clue.k_score if isinstance(self.clue, TypeClue) else float("-inf")
-
 
 @dataclass(frozen=True)
 class ConflictBlock:

@@ -98,46 +98,45 @@ class _GreedyState:
 
     Mirrors the constraint generator exactly: same clue lookups, same
     entity joins, same skipping of a pair joined against itself for the
-    directed family.
+    directed family. Kept pairs are indexed by entity, then relation, so a
+    check looks up each relation kept at an entity once, however many
+    pairs hold it there.
     """
 
     def __init__(self, clues: ClueSet):
         self.clues = clues
-        self.by_subject: dict[str, list[RankedPrediction]] = {}
-        self.by_object: dict[str, list[RankedPrediction]] = {}
+        # entity -> relation -> ids of the kept pairs with it in that slot;
+        # a pair has one candidate per relation, so no id repeats in a list
+        self.by_subject: dict[str, dict[str, list[str]]] = {}
+        self.by_object: dict[str, dict[str, list[str]]] = {}
 
     def clashes(self, cand: RankedPrediction) -> bool:
-        for acc in self.by_subject.get(cand.subject, ()):
-            if self.clues.sr_clue(acc.relation, cand.relation) is not None:
+        clues, rel = self.clues, cand.relation
+        for kept in self.by_subject.get(cand.subject, ()):
+            if clues.sr_clue(kept, rel) is not None:
                 return True
-            if (
-                acc.relation == cand.relation
-                and self.clues.ou_clue(cand.relation) is not None
-            ):
+            if kept == rel and clues.ou_clue(rel) is not None:
                 return True
-        for acc in self.by_object.get(cand.object, ()):
-            if self.clues.ro_clue(acc.relation, cand.relation) is not None:
+        for kept in self.by_object.get(cand.object, ()):
+            if clues.ro_clue(kept, rel) is not None:
                 return True
-            if (
-                acc.relation == cand.relation
-                and self.clues.su_clue(cand.relation) is not None
-            ):
+            if kept == rel and clues.su_clue(rel) is not None:
                 return True
-        for acc in self.by_subject.get(cand.object, ()):
-            if acc.pair_id != cand.pair_id and self.clues.rer_clue(
-                cand.relation, acc.relation
-            ) is not None:
+        # rer joins the candidate with every kept pair but its own
+        own = [cand.pair_id]
+        for kept, pair_ids in self.by_subject.get(cand.object, {}).items():
+            if pair_ids != own and clues.rer_clue(rel, kept) is not None:
                 return True
-        for acc in self.by_object.get(cand.subject, ()):
-            if acc.pair_id != cand.pair_id and self.clues.rer_clue(
-                acc.relation, cand.relation
-            ) is not None:
+        for kept, pair_ids in self.by_object.get(cand.subject, {}).items():
+            if pair_ids != own and clues.rer_clue(kept, rel) is not None:
                 return True
         return False
 
     def accept(self, cand: RankedPrediction) -> None:
-        self.by_subject.setdefault(cand.subject, []).append(cand)
-        self.by_object.setdefault(cand.object, []).append(cand)
+        at_subject = self.by_subject.setdefault(cand.subject, {})
+        at_subject.setdefault(cand.relation, []).append(cand.pair_id)
+        at_object = self.by_object.setdefault(cand.object, {})
+        at_object.setdefault(cand.relation, []).append(cand.pair_id)
 
 
 def rule_based(

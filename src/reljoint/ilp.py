@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,8 +64,6 @@ from .constraints import (
 
 BRUTE_FORCE_LIMIT = 25
 DEFAULT_TIME_BUDGET_MS = 60_000
-
-_CHUNK_BITS = 18  # brute-force enumeration block size (2**18 masks)
 
 
 class ModelError(ValueError):
@@ -938,83 +935,66 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
 
 
 def brute_force(model: IlpModel) -> Solution:
-    """Exhaustive oracle over every feasible assignment (<= 25 variables).
+    """Exhaustive oracle (<= 25 variables) that shares no code with `solve`.
 
-    Uses the same canonical objective and tie-break as solve. The
-    enumeration is vectorized in blocks of float sums; the winner is the
-    near-maximal assignment of greatest exact `Fraction` sum, the smallest
-    tie-break tuple among equals. "Near" is twice the error of an n-term
-    float sum, n * eps / 2 times n times the largest magnitude, which
-    covers the rounding of both the assignment's sum and the best one's
-    and cannot overflow. numpy and fractions are imported here, not at
-    module level, so that importing the package (and every command line
-    run) does not load them.
+    It walks every feasible set of decision variables once, taking or
+    leaving each id in ascending order; each auxiliary variable is the AND
+    of its link's ends, paid when the second end is taken. Values are exact
+    ints, every coefficient times the largest denominator of their ratios.
+    The greatest value wins, then the smallest `(*sorted selected ids,
+    num_vars)` tuple. The cost is the number of feasible decision sets.
     """
-    from fractions import Fraction
-
-    import numpy as np
-
     start = time.monotonic()
-    n = model.num_vars
+    n, d = model.num_vars, model.num_decision
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute_force refuses models with more than {BRUTE_FORCE_LIMIT} variables")
-    coeffs = np.asarray(model.coeffs, dtype=np.float64)
-    total = 1 << n
-    slack = n * n * sys.float_info.epsilon * max(map(abs, model.coeffs), default=0.0)
-    best_approx = -math.inf
-    candidates: list[int] = []
+    ratios = [c.as_integer_ratio() for c in model.coeffs]
+    scale = max((den for _num, den in ratios), default=1)
+    weight = [num * (scale // den) for num, den in ratios]
+    # per decision id: the smaller ids a row forbids beside it, and the
+    # links whose other end is smaller
+    earlier, closes = [0] * d, [[] for _ in range(d)]
+    for a, b in model.pairwise:
+        earlier[max(a, b)] |= 1 << min(a, b)
+    # a group forbids every two of its members, as a one-bucket biclique does
+    blocks = [(group, group) for group in model.groups]
+    blocks += [(left, right) for _family, left, right in model.bicliques]
+    for left, right in blocks:
+        for members, others in ((left, right), (right, left)):
+            forbidden = sum(1 << i for i in others)
+            for a in members:
+                earlier[a] |= forbidden & ((1 << a) - 1)
+    for a, b, aux in model.links:
+        closes[max(a, b)].append((min(a, b), aux))
 
-    for chunk_start in range(0, total, 1 << _CHUNK_BITS):
-        chunk_end = min(total, chunk_start + (1 << _CHUNK_BITS))
-        masks = np.arange(chunk_start, chunk_end, dtype=np.uint32)
-        bits = [((masks >> i) & 1).astype(np.int16) for i in range(n)]
-        feasible = np.ones(masks.shape, dtype=bool)
-        for i, j in model.pairwise:
-            feasible &= (bits[i] + bits[j]) <= 1
-        for group in model.groups:
-            total_sel = np.zeros(masks.shape, dtype=np.int16)
-            for i in group:
-                total_sel += bits[i]
-            feasible &= total_sel <= 1
-        for _family, left, right in model.bicliques:
-            in_left = sum(bits[i] for i in left)
-            if left == right:
-                feasible &= in_left <= 1
-            else:
-                feasible &= (in_left == 0) | (sum(bits[i] for i in right) == 0)
-        for a, b, aux in model.links:
-            feasible &= bits[aux] <= bits[a]
-            feasible &= bits[aux] <= bits[b]
-            feasible &= (bits[a] + bits[b] - bits[aux]) <= 1
-        objective = np.zeros(masks.shape, dtype=np.float64)
-        for i in range(n):
-            objective += coeffs[i] * bits[i]
-        objective[~feasible] = -np.inf
-        chunk_best = float(objective.max())
-        if chunk_best == -math.inf:
+    best_value, best = 0, (n,)  # the empty selection
+    valued = 0
+    stack = [(0, 0, 0)]  # (next decision id, selected mask, its value)
+    while stack:
+        v, selected, value = stack.pop()
+        if v == d:
+            valued += 1
+            if value >= best_value:
+                key = (*(i for i in range(n) if selected >> i & 1), n)
+                if value > best_value or key < best:
+                    best_value, best = value, key
             continue
-        best_approx = max(best_approx, chunk_best)
-        near = np.nonzero(objective >= best_approx - slack)[0]
-        candidates.extend(int(masks[k]) for k in near)
-        if len(candidates) > (1 << 20):
-            raise RuntimeError("degenerate tie plateau in brute-force enumeration")
+        stack.append((v + 1, selected, value))
+        if not selected & earlier[v]:
+            selected |= 1 << v
+            value += weight[v]
+            for u, aux in closes[v]:
+                if selected >> u & 1:
+                    selected |= 1 << aux
+                    value += weight[aux]
+            stack.append((v + 1, selected, value))
 
-    def rank(selected: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-        # the greater exact sum first, then the smaller tie-break tuple
-        return -sum(map(Fraction, (model.coeffs[i] for i in selected))), (*selected, n)
-
-    selections = (tuple(i for i in range(n) if mask >> i & 1) for mask in candidates)
-    best = min(selections, key=rank)
-    assignment = {i: 0 for i in range(n)}
-    for i in best:
-        assignment[i] = 1
-    objective = selection_objective(model, best)
-    wall_ms = (time.monotonic() - start) * 1000.0
+    chosen = best[:-1]
     return Solution(
-        assignment=assignment,
-        objective_value=objective,
+        assignment={i: int(i in chosen) for i in range(n)},
+        objective_value=selection_objective(model, chosen),
         optimal=True,
-        stats=SolveStats(nodes=total, components=1, wall_ms=wall_ms),
+        stats=SolveStats(nodes=valued, components=1, wall_ms=(time.monotonic() - start) * 1000.0),
     )
 
 

@@ -169,8 +169,14 @@ class TestPredictionsFile:
             ({"subject": None}, "subject"),
             ({"scores": {"r1": "0.5"}}, "score for 'r1'"),
             ({"scores": {"r1": 10**400}}, "too large"),
+            ({"subject": "a\tb"}, r"subject 'a\\tb' holds a tab"),
+            ({"scores": {"r\n2": 0.5}}, r"relation 'r\\n2' holds a tab"),
+            ({"mention_id": "m\r1"}, "mention_id"),
         ],
-        ids=["bool-score", "null-pair-id", "null-subject", "string-score", "huge-int-score"],
+        ids=[
+            "bool-score", "null-pair-id", "null-subject", "string-score", "huge-int-score",
+            "tab-in-subject", "newline-in-relation", "return-in-mention-id",
+        ],
     )
     def test_malformed_values_rejected_with_line(self, tmp_path, bad, message):
         good = {
@@ -183,6 +189,16 @@ class TestPredictionsFile:
         with pytest.raises(PredictionFileError, match=message) as err:
             load_predictions(path)
         assert err.value.line == 2
+
+    def test_escapes_without_separators_load(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        record = {
+            "pair_id": "p", "subject": "caf\u00e9", "object": "a\\b", "mention_id": "m0",
+            "scores": {"r/1": 0.5},
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        mention = load_predictions(path)["p"][0]
+        assert (mention.subject, mention.object) == ("caf\u00e9", "a\\b")
 
     def test_integer_scores_load_as_floats(self, tmp_path):
         path = tmp_path / "preds.jsonl"

@@ -327,8 +327,11 @@ def test_misshapen_clue_file_exits_2(tmp_path, capsys, world, payload):
         {"pair_id": None, "subject": None},
         {"scores": {"r1": "0.5"}},
         {"scores": {"r1": 10**400}},
+        {"subject": "a\tb"},
+        {"scores": {"r\n2": 0.5}},
     ],
-    ids=["bool-score", "null-ids", "string-score", "huge-int-score"],
+    ids=["bool-score", "null-ids", "string-score", "huge-int-score", "tab-in-id",
+         "newline-in-relation"],
 )
 def test_malformed_prediction_value_exits_2(tmp_path, capsys, values):
     record = {
@@ -347,8 +350,9 @@ def test_malformed_prediction_value_exits_2(tmp_path, capsys, values):
 
 
 def test_import_loads_no_numpy():
-    """Every command starts by importing the command line; numpy, used
-    only by ilp.brute_force, must not be part of that start-up."""
+    """Every command starts by importing the command line; numpy, which
+    the package does not use, must not be part of that start-up even
+    where it is installed."""
     src = str(Path(reljoint.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, reljoint, reljoint.cli; print('numpy' in sys.modules)"
@@ -357,6 +361,41 @@ def test_import_loads_no_numpy():
         timeout=60,
     )
     assert result.stdout.strip() == "False"
+
+
+_QUICK_START_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from reljoint.cli import main
+from reljoint.ilp import IlpModel, brute_force
+
+out = sys.argv[1]
+main(["synth", "--out-dir", f"{out}/world", "--pairs", "200", "--seed", "7"])
+main(["mine", "--triples", f"{out}/world/triples.tsv", "--out", f"{out}/clues.json"])
+flags = ["--predictions", f"{out}/world/predictions.jsonl", "--clues", f"{out}/clues.json"]
+main(["solve", *flags, "--out-dir", f"{out}/soft", "--mode", "soft"])
+main(["eval", "--predictions", f"{out}/soft/predictions.tsv",
+      "--gold", f"{out}/world/gold.tsv", "--out-dir", f"{out}/eval"])
+main(["export-lp", *flags, "--out", f"{out}/model.lp"])
+model = IlpModel(coeffs=[0.5, 0.9, 0.7, -0.2], num_decision=3, pairwise=[(0, 1)],
+                 links=[(0, 2, 3)])
+print(brute_force(model).selected())
+"""
+
+
+def test_quick_start_and_oracle_run_without_numpy(tmp_path):
+    """numpy is not a dependency: the quick start and the brute-force
+    oracle run in an interpreter where importing numpy fails."""
+    src = str(Path(reljoint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", _QUICK_START_WITHOUT_NUMPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[1, 2]"
+    for name in ("soft/predictions.tsv", "soft/census.json", "eval/summary.json", "model.lp"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_run_config_defaults_match_documented_values():
@@ -403,6 +442,25 @@ def test_non_finite_ranked_score_exits_2(tmp_path, capsys, world):
     err = capsys.readouterr().err
     assert "data error" in err and "run.tsv:1: score 'nan' is not a finite number" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["solve-missing-predictions", "eval-nan-score", "eval-nan-baseline"])
+def test_data_error_leaves_no_out_dir(tmp_path, capsys, world, case):
+    good = write_lines(tmp_path / "good.tsv", ["p0\ts\tr\to\t0.5"])
+    nan = write_lines(tmp_path / "nan.tsv", ["p0\ts\tr\to\tnan"])
+    out = tmp_path / "out"
+    eval_args = ["eval", "--gold", str(world.gold_path), "--out-dir", str(out)]
+    argv = {
+        "solve-missing-predictions": ["solve", "--predictions", str(tmp_path / "missing.jsonl"),
+                                      "--out-dir", str(out)],
+        "eval-nan-score": [*eval_args, "--predictions", str(nan)],
+        "eval-nan-baseline": [*eval_args, "--predictions", str(good), "--baseline", str(nan)],
+    }[case]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # every command's options as released: flag -> (parameter, type or

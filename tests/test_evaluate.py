@@ -128,6 +128,23 @@ class TestRuleBased:
         selected_pairs = {vars[i].pair_id for i in solution.selected()}
         assert selected_pairs == {"pa", "pc"}
 
+    def test_hub_costs_lookups_per_kept_relation_not_per_kept_pair(self):
+        # one subject in 1000 pairs, each with candidates ra and rb, and
+        # sr(ra, rb): a check looks up each relation kept at the hub once
+        candidates = [pc(f"p{i:04d}", "hub", f"o{i}", {"ra": 0.6, "rb": 0.3}) for i in range(1000)]
+        clues = ClueSet(sr=[TypeClue("sr", "ra", "rb")])
+        lookups = 0
+        for name in ("sr_clue", "ro_clue", "rer_clue", "ou_clue", "su_clue"):
+            def counted(*args, lookup=getattr(clues, name)):
+                nonlocal lookups
+                lookups += 1
+                return lookup(*args)
+
+            setattr(clues, name, counted)
+        kept = rule_based(candidates, clues)
+        assert len(kept) == 1000 and {p.relation for p in kept} == {"ra"}
+        assert lookups <= 4 * 2000
+
     def test_output_feasible_and_bounded_by_optimum(self, rng):
         subjects = [f"e{i}" for i in range(4)]
         candidates = [

@@ -392,6 +392,13 @@ class TestBruteForce:
             ([1.2, 1.8], 2, [(0, 1)], [], []),
             ([0.5, 0.9, 0.7], 3, [], [(0, 1, 2)], []),
             ([1.2, 1.8, -0.8], 2, [], [], [(0, 1, 2)]),
+            # a 25-variable linked path: 13 decisions, 12 links
+            (
+                [1 + ((37 * i) % 11) / 100 for i in range(13)] + [-0.5] * 12,
+                13, [], [], [(i, i + 1, 13 + i) for i in range(12)],
+            ),
+            # a 22-variable zero-weight plateau of 11 conflicting pairs
+            ([0.0] * 22, 22, [(2 * i, 2 * i + 1) for i in range(11)], [], []),
         ]:
             model = IlpModel(
                 coeffs=coeffs,
@@ -400,7 +407,9 @@ class TestBruteForce:
                 groups=groups,
                 links=links,
             )
-            assert brute_force(model).objective_value == solve(model).objective_value
+            oracle, exact = brute_force(model), solve(model)
+            assert oracle.objective_value == exact.objective_value
+            assert oracle.selected() == exact.selected()
 
     def test_refuses_large_models(self):
         model = IlpModel(coeffs=[0.5] * 26, num_decision=26)
@@ -418,11 +427,11 @@ class TestBruteForce:
         assert solution.objective_value >= 0.0
 
     def test_large_magnitudes_keep_the_optimum(self):
-        # numpy's rounded sums of these exceed every exact sum by more than
-        # an absolute slack: the near-optimum filter must scale with them
+        # float sums of these round off by more than any fixed absolute
+        # tolerance: the oracle and the solver must compare exact values
         model = IlpModel(coeffs=[6.1, 9.0, 90000000000.1, 8.1], num_decision=4)
         assert brute_force(model).selected() == solve(model).selected() == [0, 1, 2, 3]
-        # the slack stays finite where the sum of the magnitudes overflows
+        # exact values also hold where a float sum of the magnitudes overflows
         model = IlpModel(coeffs=[1e308, -1e308], num_decision=2)
         assert brute_force(model).selected() == solve(model).selected() == [0]
 
