@@ -36,7 +36,7 @@ class PredictionFileError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MentionPrediction:
     """One sentence-level score distribution for an entity pair."""
 
@@ -52,14 +52,14 @@ class MentionPrediction:
                 raise ValueError(f"score for {rel!r} out of [0,1]: {score}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Candidate:
     conf: float
     max_mention: float
     supporting_mentions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairCandidates:
     pair_id: str
     subject: str
@@ -81,13 +81,12 @@ def select_mention_candidates(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if not 0.0 <= min_conf <= 1.0:
         raise ValueError(f"min_conf must be in [0,1], got {min_conf}")
-    eligible = [
-        rel
+    eligible = sorted(
+        (-score, rel)
         for rel, score in scores.items()
         if rel != NA_LABEL and score > 0.0 and score >= min_conf
-    ]
-    eligible.sort(key=lambda rel: (-scores[rel], rel))
-    return eligible[:top_k]
+    )
+    return [rel for _, rel in eligible[:top_k]]
 
 
 def aggregate(
@@ -103,39 +102,35 @@ def aggregate(
     if not mentions:
         raise ValueError("aggregate needs at least one mention")
     first = mentions[0]
-    seen_ids: set[str] = set()
-    for m in mentions:
-        if (m.pair_id, m.subject, m.object) != (first.pair_id, first.subject, first.object):
-            raise ValueError(
-                f"mention {m.mention_id!r} does not match pair {first.pair_id!r}"
-            )
-        if m.mention_id in seen_ids:
-            raise ValueError(f"duplicate mention id {m.mention_id!r} in pair {m.pair_id!r}")
-        seen_ids.add(m.mention_id)
+    if len(mentions) > 1:
+        seen_ids: set[str] = set()
+        for m in mentions:
+            if (m.pair_id, m.subject, m.object) != (first.pair_id, first.subject, first.object):
+                raise ValueError(
+                    f"mention {m.mention_id!r} does not match pair {first.pair_id!r}"
+                )
+            if m.mention_id in seen_ids:
+                raise ValueError(f"duplicate mention id {m.mention_id!r} in pair {m.pair_id!r}")
+            seen_ids.add(m.mention_id)
+        mentions = sorted(mentions, key=lambda m: m.mention_id)
 
-    # Visiting mentions in id order leaves every supporter list in id order.
-    supporters: dict[str, list[MentionPrediction]] = {}
-    for m in sorted(mentions, key=lambda m: m.mention_id):
-        for rel in select_mention_candidates(m.scores, top_k, min_conf):
-            supporters.setdefault(rel, []).append(m)
+    # Visiting mentions in id order leaves every relation's scores and
+    # supporter ids in id order.
+    support: dict[str, tuple[list[float], list[str]]] = {}
+    for m in mentions:
+        scores = m.scores
+        for rel in select_mention_candidates(scores, top_k, min_conf):
+            values, ids = support.setdefault(rel, ([], []))
+            values.append(scores[rel])
+            ids.append(m.mention_id)
 
     candidates: dict[str, Candidate] = {}
-    for rel in sorted(supporters):
-        ms = supporters[rel]
+    for rel in sorted(support):
+        values, ids = support[rel]
         # fsum in mention-id order keeps the stored value exactly
         # recomputable from the raw input.
-        conf = math.fsum(m.scores[rel] for m in ms)
-        candidates[rel] = Candidate(
-            conf=conf,
-            max_mention=max(m.scores[rel] for m in ms),
-            supporting_mentions=tuple(m.mention_id for m in ms),
-        )
-    return PairCandidates(
-        pair_id=first.pair_id,
-        subject=first.subject,
-        object=first.object,
-        candidates=candidates,
-    )
+        candidates[rel] = Candidate(math.fsum(values), max(values), tuple(ids))
+    return PairCandidates(first.pair_id, first.subject, first.object, candidates)
 
 
 def build_pair_candidates(
@@ -194,19 +189,18 @@ def _mention(record) -> MentionPrediction:
     """One decoded line as a mention: the ids must be strings and the
     scores numbers (not bools)."""
     for name in _ID_FIELDS:
-        if not isinstance(record[name], str):
-            raise TypeError(f"{name} must be a string, got {record[name]!r}")
-    scores = {}
-    for rel, score in record["scores"].items():
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise TypeError(f"score for {rel!r} must be a number, got {score!r}")
-        scores[rel] = float(score)
+        value = record[name]
+        if type(value) is not str and not isinstance(value, str):
+            raise TypeError(f"{name} must be a string, got {value!r}")
+    # the decoded map is this call's own, so it becomes the mention's
+    scores = record["scores"]
+    for rel, score in scores.items():
+        if type(score) is not float:
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise TypeError(f"score for {rel!r} must be a number, got {score!r}")
+            scores[rel] = float(score)
     return MentionPrediction(
-        pair_id=record["pair_id"],
-        subject=record["subject"],
-        object=record["object"],
-        mention_id=record["mention_id"],
-        scores=scores,
+        record["pair_id"], record["subject"], record["object"], record["mention_id"], scores
     )
 
 

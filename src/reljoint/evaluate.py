@@ -23,7 +23,7 @@ from .ilp import Solution
 GoldTriple = tuple[str, str, str]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RankedPrediction:
     pair_id: str
     subject: str
@@ -36,7 +36,7 @@ class RankedPrediction:
         return (self.subject, self.relation, self.object)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrPoint:
     rank: int
     precision: float
@@ -76,13 +76,15 @@ def mintzpp(
     for pair_id in sorted(mentions_by_pair):
         mentions = mentions_by_pair[pair_id]
         votes: dict[str, float] = {}
-        for m in sorted(mentions, key=lambda m: m.mention_id):
-            if not m.scores:
+        # a vote is a max over mentions, so their order does not matter
+        for m in mentions:
+            scores = m.scores
+            if not scores:
                 continue
-            winner = min(m.scores, key=lambda rel: (-m.scores[rel], rel))
+            score = max(scores.values())
+            winner = min(rel for rel, s in scores.items() if s == score)
             if winner == NA_LABEL:
                 continue
-            score = m.scores[winner]
             votes[winner] = max(votes.get(winner, 0.0), score)
         first = mentions[0]
         for rel in sorted(votes):
@@ -144,20 +146,19 @@ def rule_based(
 ) -> list[RankedPrediction]:
     """Greedy conflict resolution: walk candidates by confidence and keep
     each one unless it clashes with something already kept."""
-    ranked: list[RankedPrediction] = []
-    for pc in candidates:
-        for rel in sorted(pc.candidates):
-            ranked.append(
-                RankedPrediction(pc.pair_id, pc.subject, pc.object, rel, pc.candidates[rel].conf)
-            )
-    ranked.sort(key=lambda p: (-p.score, p.pair_id, p.relation))
+    ranked = _rank(
+        RankedPrediction(pc.pair_id, pc.subject, pc.object, rel, cand.conf)
+        for pc in candidates
+        for rel, cand in pc.candidates.items()
+    )
     state = _GreedyState(clues)
     kept: list[RankedPrediction] = []
     for cand in ranked:
         if not state.clashes(cand):
             state.accept(cand)
             kept.append(cand)
-    return _rank(kept)
+    # a subsequence of the ranked list is already in rank order
+    return kept
 
 
 def ranked_from_solution(
@@ -283,7 +284,7 @@ def read_ranked_predictions(path: str | Path) -> list[RankedPrediction]:
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+            if not line.strip():
                 continue
             fields = line.split("\t")
             if len(fields) != 5:

@@ -700,6 +700,8 @@ class _ComponentSolver:
         return bound
 
     def _has_live_link(self, v: int, free: int) -> bool:
+        if not self.linked >> v & 1:  # links_at[v] is empty
+            return False
         return any(
             self.link_active[idx] and free >> partner & 1
             for partner, _coeff, idx in self.links_at[v]

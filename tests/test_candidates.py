@@ -5,13 +5,17 @@ import random
 import pytest
 
 from reljoint.candidates import (
+    Candidate,
     MentionPrediction,
+    PairCandidates,
     PredictionFileError,
     aggregate,
     build_pair_candidates,
     load_predictions,
     select_mention_candidates,
 )
+
+from conftest import write_lines
 
 
 def mention(pair_id, mention_id, scores, subject="s", object="o"):
@@ -123,6 +127,28 @@ class TestAggregate:
             mention("p", "m0", {"r1": 1.5})
 
 
+def reference_candidates(mentions_by_pair, top_k, min_conf):
+    """build_pair_candidates spelled out: per mention in id order, its
+    admitted relations, then each relation's fsum, max and supporters."""
+    out = []
+    for pair_id in sorted(mentions_by_pair):
+        mentions = sorted(mentions_by_pair[pair_id], key=lambda m: m.mention_id)
+        admitted = [
+            (m, select_mention_candidates(m.scores, top_k, min_conf)) for m in mentions
+        ]
+        candidates = {}
+        for rel in sorted({rel for _, rels in admitted for rel in rels}):
+            supporters = [m for m, rels in admitted if rel in rels]
+            scores = [m.scores[rel] for m in supporters]
+            candidates[rel] = Candidate(
+                math.fsum(scores), max(scores), tuple(m.mention_id for m in supporters)
+            )
+        if candidates:
+            first = mentions[0]
+            out.append(PairCandidates(pair_id, first.subject, first.object, candidates))
+    return out
+
+
 class TestPredictionsFile:
     def test_round_trip_grouping(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -172,10 +198,15 @@ class TestPredictionsFile:
             ({"subject": "a\tb"}, r"subject 'a\\tb' holds a tab"),
             ({"scores": {"r\n2": 0.5}}, r"relation 'r\\n2' holds a tab"),
             ({"mention_id": "m\r1"}, "mention_id"),
+            ({"scores": {"r1": 1.5}}, r"score for 'r1' out of \[0,1\]: 1.5"),
+            ({"scores": {"r1": -0.1}}, r"score for 'r1' out of \[0,1\]: -0.1"),
+            ({"scores": [0.5]}, "bad record"),
+            ('["p", "a", "b", "m1", {"r1": 0.5}]', "bad record"),
         ],
         ids=[
             "bool-score", "null-pair-id", "null-subject", "string-score", "huge-int-score",
             "tab-in-subject", "newline-in-relation", "return-in-mention-id",
+            "score-above-one", "negative-score", "score-list", "array-line",
         ],
     )
     def test_malformed_values_rejected_with_line(self, tmp_path, bad, message):
@@ -184,7 +215,9 @@ class TestPredictionsFile:
             "scores": {"r1": 0.5},
         }
         path = tmp_path / "preds.jsonl"
-        lines = [json.dumps(good), json.dumps({**good, "mention_id": "m1", **bad})]
+        # a string is the whole second line
+        second = bad if isinstance(bad, str) else json.dumps({**good, "mention_id": "m1", **bad})
+        lines = [json.dumps(good), second]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(PredictionFileError, match=message) as err:
             load_predictions(path)
@@ -210,3 +243,32 @@ class TestPredictionsFile:
         scores = load_predictions(path)["p"][0].scores
         assert scores == {"r1": 1.0, "NA": 0.0}
         assert all(type(s) is float for s in scores.values())
+
+    def test_loaded_candidates_match_reference(self, tmp_path):
+        # few distinct values, so top-k cuts often fall inside a tie; 0 and
+        # 1 are written as JSON integers
+        values = [0, 0.05, 0.1, 0.2, 0.2, 0.35, 0.35, 0.6, 1]
+        relations = ["NA", "r1", "r2", "r3", "r4", "r5"]
+        rng = random.Random(21)
+        for case in range(40):
+            records = []
+            for p in range(rng.randint(1, 12)):
+                ids = [f"m{i}" for i in rng.sample(range(12), rng.randint(1, 4))]
+                for mention_id in ids:
+                    rels = rng.sample(relations, rng.randint(1, len(relations)))
+                    records.append({
+                        "pair_id": f"p{p}", "subject": f"s{p}", "object": f"o{p}",
+                        "mention_id": mention_id,
+                        "scores": {rel: rng.choice(values) for rel in rels},
+                    })
+            rng.shuffle(records)
+            path = write_lines(tmp_path / f"case{case}.jsonl", map(json.dumps, records))
+            mentions = load_predictions(path)
+            for top_k in (1, 2, 3):
+                for min_conf in (0.0, 0.1):
+                    got = build_pair_candidates(mentions, top_k, min_conf)
+                    want = reference_candidates(mentions, top_k, min_conf)
+                    assert got == want
+                    assert [list(pc.candidates) for pc in got] == [
+                        list(pc.candidates) for pc in want
+                    ]

@@ -133,6 +133,30 @@ def test_eval_against_itself_zero_diff(runner, world, tmp_path):
     assert (diff["eliminated"], diff["corrected"], diff["introduced"]) == (0, 0, 0)
 
 
+def test_hash_pair_id_survives_solve_and_eval(runner, tmp_path):
+    # a ranked line whose pair id starts with '#' is a record, not a comment
+    records = [
+        {"pair_id": pair_id, "subject": subject, "object": "o", "mention_id": "m0",
+         "scores": {"r": 0.9}}
+        for pair_id, subject in [("#p1", "s1"), ("p2", "s2")]
+    ]
+    predictions = write_lines(tmp_path / "preds.jsonl", [json.dumps(r) for r in records])
+    gold = write_lines(tmp_path / "gold.tsv", ["s1\tr\to", "s2\tr\to"])
+    invoke(
+        runner,
+        ["solve", "--predictions", str(predictions), "--method", "mintzpp",
+         "--out-dir", str(tmp_path / "run")],
+    )
+    invoke(
+        runner,
+        ["eval", "--predictions", str(tmp_path / "run" / "predictions.tsv"),
+         "--gold", str(gold), "--out-dir", str(tmp_path / "eval")],
+    )
+    summary = json.loads((tmp_path / "eval" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["predictions"] == 2
+    assert summary["peak"]["recall"] == 1.0
+
+
 def test_soft_mode_flag(runner, world, tmp_path):
     clues = tmp_path / "clues.json"
     invoke(runner, ["mine", "--triples", str(world.triples_path), "--out", str(clues)])
