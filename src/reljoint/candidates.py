@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .kb import DataFileError
+
 log = logging.getLogger(__name__)
 
 # Reserved no-relation label; never becomes a candidate.
@@ -26,14 +28,8 @@ DEFAULT_MIN_CONF = 0.1
 _ID_FIELDS = ("pair_id", "subject", "object", "mention_id")
 
 
-class PredictionFileError(ValueError):
-    """Malformed predictions file; carries the 1-based line number."""
-
-    def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
-        self.path = str(path) if path is not None else None
-        self.line = line
-        where = f"{self.path or '<input>'}:{line}" if line is not None else str(self.path)
-        super().__init__(f"{where}: {message}")
+class PredictionFileError(DataFileError):
+    """Malformed predictions file."""
 
 
 @dataclass(slots=True)

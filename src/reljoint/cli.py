@@ -22,24 +22,27 @@ from . import constraints as cons
 from . import evaluate as ev
 from . import ilp
 from . import synth as synth_mod
-from .kb import TripleFileError, load_triples, read_triples
+from .kb import load_triples, read_triples
 
 
 class ConfigError(Exception):
     pass
 
 
+SOLVE_MODES = ("hard", "soft")
+
+
 @dataclass
 class RunConfig:
-    kappa: float = -3.0
-    uniq_threshold: float = 0.8
-    conf_threshold: float = 0.1
-    top_k: int = 3
+    kappa: float = clue_mod.DEFAULT_KAPPA
+    uniq_threshold: float = clue_mod.DEFAULT_THETA
+    conf_threshold: float = cand.DEFAULT_MIN_CONF
+    top_k: int = cand.DEFAULT_TOP_K
     alpha: float = 1.0
     mode: str = "hard"
     max_relations: int = 0
-    time_budget_ms: int = 60_000
-    seed: int = 0
+    time_budget_ms: int = ilp.DEFAULT_TIME_BUDGET_MS
+    seed: int = synth_mod.SynthConfig.seed
 
     def validate(self) -> None:
         # a config file may hold any JSON value: check each against its
@@ -60,7 +63,7 @@ class RunConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if not 0 <= self.alpha < math.inf:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.mode not in ("hard", "soft"):
+        if self.mode not in SOLVE_MODES:
             raise ConfigError(f"mode must be hard or soft, got {self.mode!r}")
         if self.max_relations < 0:
             raise ConfigError(f"max_relations must be >= 0, got {self.max_relations}")
@@ -120,7 +123,7 @@ def _configured(*names):
     options = [click.option("--config", "config_path", type=click.Path(), default=None)]
     for f in fields(RunConfig):
         if f.name in names:
-            kind = click.Choice(["hard", "soft"]) if f.name == "mode" else type(f.default)
+            kind = click.Choice(SOLVE_MODES) if f.name == "mode" else type(f.default)
             options.append(click.option("--" + f.name.replace("_", "-"), type=kind, default=None))
 
     def decorate(command):
@@ -318,11 +321,16 @@ def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
 @cli.command()
 @_configured("seed")
 @_out_dir
-@click.option("--pairs", type=int, default=500)
-@click.option("--noise", type=float, default=0.3)
-@click.option("--mode", "world_mode", type=click.Choice(["conflict", "riedel"]), default="conflict")
-@click.option("--mentions-min", type=int, default=1)
-@click.option("--mentions-max", type=int, default=3)
+@click.option("--pairs", type=int, default=synth_mod.SynthConfig.pairs)
+@click.option("--noise", type=float, default=synth_mod.SynthConfig.noise)
+@click.option(
+    "--mode",
+    "world_mode",
+    type=click.Choice(["conflict", "riedel"]),
+    default=synth_mod.SynthConfig.mode,
+)
+@click.option("--mentions-min", type=int, default=synth_mod.SynthConfig.mentions_per_pair[0])
+@click.option("--mentions-max", type=int, default=synth_mod.SynthConfig.mentions_per_pair[1])
 def synth(config_path, out_dir, pairs, noise, world_mode, mentions_min, mentions_max, **overrides):
     """Generate a seeded synthetic world (KB, gold task, noisy mentions)."""
     config = _resolve_config(config_path, overrides)
@@ -369,15 +377,7 @@ def main(argv=None) -> None:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
-    except (
-        TripleFileError,
-        clue_mod.ClueFileError,
-        cand.PredictionFileError,
-        synth_mod.SynthConfigError,
-        ilp.ModelError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(2)
 

@@ -28,6 +28,9 @@ TYPE_KINDS = ("sr", "ro", "rer")
 UNIQUENESS_KINDS = ("ou", "su")
 ALL_KINDS = TYPE_KINDS + UNIQUENESS_KINDS
 
+DEFAULT_KAPPA = -3.0
+DEFAULT_THETA = 0.8
+
 MINED = "mined"
 MANUAL = "manual"
 
@@ -138,9 +141,6 @@ class ClueSet:
     def counts(self) -> dict[str, int]:
         return {kind: len(getattr(self, kind)) for kind in ALL_KINDS}
 
-    def __len__(self) -> int:
-        return sum(self.counts().values())
-
     def restrict(self, kinds: Iterable[str]) -> "ClueSet":
         """Keep only the given clue families (for ablation runs)."""
         wanted = set(kinds)
@@ -166,7 +166,7 @@ def kulczynski(a: AbstractSet[str], b: AbstractSet[str]) -> float:
 
 
 def mine_type_clues(
-    kb: KbIndex, kappa: float = -3.0
+    kb: KbIndex, kappa: float = DEFAULT_KAPPA
 ) -> tuple[list[TypeClue], list[TypeClue], list[TypeClue]]:
     """Score all relation pairs and keep those strictly below `kappa`.
 
@@ -211,7 +211,7 @@ def mine_type_clues(
 
 
 def mine_uniqueness_clues(
-    kb: KbIndex, theta: float = 0.8
+    kb: KbIndex, theta: float = DEFAULT_THETA
 ) -> tuple[list[UniquenessClue], list[UniquenessClue]]:
     """Keep relations whose argument-uniqueness fraction reaches `theta`.
 
@@ -235,7 +235,9 @@ def mine_uniqueness_clues(
     return ou, su
 
 
-def mine_clues(kb: KbIndex, kappa: float = -3.0, theta: float = 0.8) -> ClueSet:
+def mine_clues(
+    kb: KbIndex, kappa: float = DEFAULT_KAPPA, theta: float = DEFAULT_THETA
+) -> ClueSet:
     """Run both miners over the KB and bundle the result."""
     sr, ro, rer = mine_type_clues(kb, kappa)
     ou, su = mine_uniqueness_clues(kb, theta)

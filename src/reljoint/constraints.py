@@ -11,7 +11,8 @@ one entity is one `ConflictBlock`: no variable of one bucket together with
 any variable of the other, standing for |left|·|right| pairwise rows.
 `generate_blocks` is the join; `generate_hard` is its canonical expansion
 into those rows, which `expand` defines for every consumer that writes or
-counts rows.
+counts rows. `ClashIndex` answers the same question one candidate at a
+time, for the greedy baseline.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .candidates import PairCandidates
-from .clues import ClueSet, TypeClue, UniquenessClue
+from .clues import ALL_KINDS, TYPE_KINDS, ClueSet, TypeClue, UniquenessClue
 
 log = logging.getLogger(__name__)
 
-TYPE_FAMILIES = ("sr", "ro", "rer")
-FAMILY_ORDER = {"sr": 0, "ro": 1, "rer": 2, "ou": 3, "su": 4}
+FAMILY_ORDER = {kind: rank for rank, kind in enumerate(ALL_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -242,15 +242,62 @@ def generate_blocks(
     return vars, [*blocks, *groups]
 
 
+class ClashIndex:
+    """Kept candidates indexed for clash checks against a clue set.
+
+    A candidate is anything with `pair_id`, `subject`, `object` and
+    `relation`. It clashes with a kept one exactly where `generate_blocks`
+    would join the two: same clue lookups, same entity joins, same skipping
+    of a pair joined against itself for `rer`. Kept pairs are indexed by
+    entity, then relation, so a check looks up each relation kept at an
+    entity once, however many pairs hold it there.
+    """
+
+    def __init__(self, clues: ClueSet):
+        self.clues = clues
+        # entity -> relation -> ids of the kept pairs with it in that slot;
+        # a pair has one candidate per relation, so no id repeats in a list
+        self.by_subject: dict[str, dict[str, list[str]]] = {}
+        self.by_object: dict[str, dict[str, list[str]]] = {}
+
+    def clashes(self, cand) -> bool:
+        clues, rel = self.clues, cand.relation
+        for kept in self.by_subject.get(cand.subject, ()):
+            if clues.sr_clue(kept, rel) is not None:
+                return True
+            if kept == rel and clues.ou_clue(rel) is not None:
+                return True
+        for kept in self.by_object.get(cand.object, ()):
+            if clues.ro_clue(kept, rel) is not None:
+                return True
+            if kept == rel and clues.su_clue(rel) is not None:
+                return True
+        # rer joins the candidate with every kept pair but its own
+        own = [cand.pair_id]
+        for kept, pair_ids in self.by_subject.get(cand.object, {}).items():
+            if pair_ids != own and clues.rer_clue(rel, kept) is not None:
+                return True
+        for kept, pair_ids in self.by_object.get(cand.subject, {}).items():
+            if pair_ids != own and clues.rer_clue(kept, rel) is not None:
+                return True
+        return False
+
+    def accept(self, cand) -> None:
+        at_subject = self.by_subject.setdefault(cand.subject, {})
+        at_subject.setdefault(cand.relation, []).append(cand.pair_id)
+        at_object = self.by_object.setdefault(cand.object, {})
+        at_object.setdefault(cand.relation, []).append(cand.pair_id)
+
+
 def expand(constraints: Sequence[Constraint]) -> list[HardConstraint]:
     """Pairwise rows of the blocks, with the rows and groups given, in the
     canonical order: family-major, then by `var_ids`."""
-    typed = [c for c in constraints if c.family in TYPE_FAMILIES]
+    typed = [c for c in constraints if c.family in TYPE_KINDS]
     rows = [
         HardConstraint(typed[k].family, (a, b), typed[k].clue)
         for _rank, a, b, k in canonical_rows([_as_block(c) for c in typed])
     ]
-    groups = [c for c in constraints if c.family not in TYPE_FAMILIES]
+    groups = [c for c in constraints if c.family not in TYPE_KINDS]
     return rows + sorted(groups, key=lambda c: (FAMILY_ORDER[c.family], c.var_ids))
 
 
@@ -283,7 +330,7 @@ def soften(
     remaining: list[Constraint] = []
     relaxed: list[Constraint] = []
     for constraint in hard:
-        if constraint.family in TYPE_FAMILIES and math.isfinite(constraint.clue.k_score):
+        if constraint.family in TYPE_KINDS and math.isfinite(constraint.clue.k_score):
             relaxed.append(constraint)
         else:
             remaining.append(constraint)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .candidates import NA_LABEL, MentionPrediction, PairCandidates
 from .clues import ClueSet
-from .constraints import DecisionVar
+from .constraints import ClashIndex, DecisionVar
 from .ilp import Solution
 
 GoldTriple = tuple[str, str, str]
@@ -95,52 +95,6 @@ def mintzpp(
     return _rank(out)
 
 
-class _GreedyState:
-    """Accepted predictions indexed for clash checks against a clue set.
-
-    Mirrors the constraint generator exactly: same clue lookups, same
-    entity joins, same skipping of a pair joined against itself for the
-    directed family. Kept pairs are indexed by entity, then relation, so a
-    check looks up each relation kept at an entity once, however many
-    pairs hold it there.
-    """
-
-    def __init__(self, clues: ClueSet):
-        self.clues = clues
-        # entity -> relation -> ids of the kept pairs with it in that slot;
-        # a pair has one candidate per relation, so no id repeats in a list
-        self.by_subject: dict[str, dict[str, list[str]]] = {}
-        self.by_object: dict[str, dict[str, list[str]]] = {}
-
-    def clashes(self, cand: RankedPrediction) -> bool:
-        clues, rel = self.clues, cand.relation
-        for kept in self.by_subject.get(cand.subject, ()):
-            if clues.sr_clue(kept, rel) is not None:
-                return True
-            if kept == rel and clues.ou_clue(rel) is not None:
-                return True
-        for kept in self.by_object.get(cand.object, ()):
-            if clues.ro_clue(kept, rel) is not None:
-                return True
-            if kept == rel and clues.su_clue(rel) is not None:
-                return True
-        # rer joins the candidate with every kept pair but its own
-        own = [cand.pair_id]
-        for kept, pair_ids in self.by_subject.get(cand.object, {}).items():
-            if pair_ids != own and clues.rer_clue(rel, kept) is not None:
-                return True
-        for kept, pair_ids in self.by_object.get(cand.subject, {}).items():
-            if pair_ids != own and clues.rer_clue(kept, rel) is not None:
-                return True
-        return False
-
-    def accept(self, cand: RankedPrediction) -> None:
-        at_subject = self.by_subject.setdefault(cand.subject, {})
-        at_subject.setdefault(cand.relation, []).append(cand.pair_id)
-        at_object = self.by_object.setdefault(cand.object, {})
-        at_object.setdefault(cand.relation, []).append(cand.pair_id)
-
-
 def rule_based(
     candidates: Sequence[PairCandidates], clues: ClueSet
 ) -> list[RankedPrediction]:
@@ -151,7 +105,7 @@ def rule_based(
         for pc in candidates
         for rel, cand in pc.candidates.items()
     )
-    state = _GreedyState(clues)
+    state = ClashIndex(clues)
     kept: list[RankedPrediction] = []
     for cand in ranked:
         if not state.clashes(cand):
@@ -221,7 +175,6 @@ def diff_analysis(
     * introduced: correct predictions for pairs the baseline left empty.
     """
     gold_set = set(gold)
-    base_keys = {(p.pair_id, p.relation) for p in baseline}
     opt_keys = {(p.pair_id, p.relation) for p in optimized}
     base_pairs: dict[str, list[RankedPrediction]] = {}
     for p in baseline:

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Generator, Iterable, Mapping, Sequence
 
+from .clues import TYPE_KINDS
 from .constraints import (
-    TYPE_FAMILIES,
     ConflictBlock,
     Constraint,
     DecisionVar,
@@ -164,7 +164,7 @@ class IlpModel:
                 if i in expected_aux:
                     raise ModelError("groups may not touch auxiliary variables")
         for family, left, right in self.bicliques:
-            if family not in TYPE_FAMILIES:
+            if family not in TYPE_KINDS:
                 raise ModelError(f"biclique of unknown family {family!r}")
             for side in (left, right):
                 if (
@@ -208,7 +208,10 @@ def build_model(
 ) -> IlpModel:
     """Assemble the model from generated variables and constraints: a
     two-variable row becomes a pairwise row, a larger one a group, and a
-    block a biclique."""
+    block a biclique. It checks only what the model cannot: that each
+    coefficient lands at its variable's id, the decision ids being dense
+    and the auxiliary ids continuing them in order. `IlpModel.validate`
+    checks every row."""
     for expected, v in enumerate(vars):
         if v.id != expected:
             raise ModelError(f"variable ids must be dense, found {v.id} at position {expected}")
@@ -220,11 +223,7 @@ def build_model(
     for c in hard:
         if isinstance(c, ConflictBlock):
             bicliques.append((c.family, c.left, c.right))
-            continue
-        for i in c.var_ids:
-            if not 0 <= i < n:
-                raise ModelError(f"constraint references unknown variable {i}")
-        if len(c.var_ids) == 2:
+        elif len(c.var_ids) == 2:
             pairwise.append((c.var_ids[0], c.var_ids[1]))
         else:
             groups.append(c.var_ids)
@@ -233,8 +232,6 @@ def build_model(
         for aux in soft.aux_vars:
             if aux.id != len(coeffs):
                 raise ModelError(f"auxiliary ids must continue densely, found {aux.id}")
-            if not (0 <= aux.var_a < n and 0 <= aux.var_b < n):
-                raise ModelError("auxiliary variable links unknown decision variables")
             coeffs.append(-aux.penalty)
             links.append((aux.var_a, aux.var_b, aux.id))
     names = _unique_names(
@@ -883,8 +880,10 @@ def solve(model: IlpModel, time_budget_ms: float = DEFAULT_TIME_BUDGET_MS) -> So
     search runs past it, or that is reached after it, falls back to its
     greedy incumbent, which never scores below zero, and the solution is
     flagged non-optimal. The all-zeros assignment is always feasible, so a
-    solution always exists.
+    solution always exists. A negative or NaN budget raises ValueError.
     """
+    if not time_budget_ms >= 0:
+        raise ValueError(f"time_budget_ms must be >= 0, got {time_budget_ms}")
     start = time.monotonic()
     deadline = start + time_budget_ms / 1000.0 if time_budget_ms else None
     components = decompose(model)

@@ -16,14 +16,19 @@ COMMENT_PREFIX = "#"
 FIELD_SEPARATOR = "\t"
 
 
-class TripleFileError(ValueError):
-    """Malformed triple file; carries the 1-based line number."""
+class DataFileError(ValueError):
+    """Malformed data file; carries the path and the 1-based line number.
+    Each file format's error derives from it."""
 
     def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
         self.path = str(path) if path is not None else None
         self.line = line
         where = f"{self.path or '<input>'}:{line}" if line is not None else str(self.path)
         super().__init__(f"{where}: {message}")
+
+
+class TripleFileError(DataFileError):
+    """Malformed triple file."""
 
 
 @dataclass(frozen=True, order=True)
@@ -55,7 +60,6 @@ class KbIndex:
         objects: dict[str, set[str]] = {}
         fanout: dict[str, dict[str, int]] = {}
         fanin: dict[str, dict[str, int]] = {}
-        counts: dict[str, int] = {}
         for t in self._triples:
             subjects.setdefault(t.relation, set()).add(t.subject)
             objects.setdefault(t.relation, set()).add(t.object)
@@ -63,20 +67,14 @@ class KbIndex:
             rel_fanout[t.subject] = rel_fanout.get(t.subject, 0) + 1
             rel_fanin = fanin.setdefault(t.relation, {})
             rel_fanin[t.object] = rel_fanin.get(t.object, 0) + 1
-            counts[t.relation] = counts.get(t.relation, 0) + 1
         self._subjects = {r: frozenset(s) for r, s in subjects.items()}
         self._objects = {r: frozenset(o) for r, o in objects.items()}
         self._fanout = fanout
         self._fanin = fanin
-        self._counts = counts
-
-    @property
-    def triples(self) -> frozenset[Triple]:
-        return self._triples
 
     @property
     def relations(self) -> tuple[str, ...]:
-        return tuple(sorted(self._counts))
+        return tuple(sorted(self._subjects))
 
     def subjects(self, relation: str) -> frozenset[str]:
         return self._subjects.get(relation, frozenset())
@@ -92,23 +90,8 @@ class KbIndex:
         """Per object, the number of distinct subjects under `relation`."""
         return dict(self._fanin.get(relation, {}))
 
-    def triple_count(self, relation: str) -> int:
-        return self._counts.get(relation, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KbIndex):
-            return NotImplemented
-        return self._triples == other._triples
-
-    def __hash__(self) -> int:
-        return hash(self._triples)
-
     def __len__(self) -> int:
         return len(self._triples)
-
-    def write(self, path: str | Path) -> None:
-        """Serialize the distinct triple set, one tab-separated fact per line."""
-        write_triples(path, sorted(self._triples))
 
 
 def read_triples(path: str | Path) -> list[Triple]:

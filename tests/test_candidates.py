@@ -14,6 +14,7 @@ from reljoint.candidates import (
     load_predictions,
     select_mention_candidates,
 )
+from reljoint.kb import DataFileError
 
 from conftest import write_lines
 
@@ -174,6 +175,7 @@ class TestPredictionsFile:
         with pytest.raises(PredictionFileError) as err:
             load_predictions(path)
         assert err.value.line in (1, 2)
+        assert isinstance(err.value, DataFileError) and err.value.path == str(path)
 
     def test_unnormalized_scores_warned_not_rescaled(self, tmp_path, caplog):
         path = tmp_path / "preds.jsonl"

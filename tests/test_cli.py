@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -667,19 +668,48 @@ main(["synth", "--out-dir", f"{out}/world", "--pairs", "400", "--seed", "7"])
 main(["mine", "--triples", f"{out}/world/triples.tsv", "--out", f"{out}/clues.json",
       "--kappa", "-0.2"])
 flags = ["--predictions", f"{out}/world/predictions.jsonl", "--clues", f"{out}/clues.json"]
+main(["solve", *flags, "--out-dir", f"{out}/hard", "--dump-constraints", f"{out}/hard.tsv"])
+main(["solve", *flags, "--out-dir", f"{out}/mintzpp", "--method", "mintzpp"])
 main(["solve", *flags, "--out-dir", f"{out}/rule", "--method", "rule"])
-main(["solve", *flags, "--out-dir", f"{out}/soft", "--mode", "soft", "--alpha", "0.5"])
+soft = [*flags, "--mode", "soft", "--alpha", "0.5"]
+main(["solve", *soft, "--out-dir", f"{out}/soft", "--dump-constraints", f"{out}/soft.tsv"])
+main(["export-lp", *flags, "--out", f"{out}/hard.lp"])
+main(["export-lp", *soft, "--out", f"{out}/soft.lp"])
 main(["eval", "--predictions", f"{out}/soft/predictions.tsv",
       "--gold", f"{out}/world/gold.tsv", "--out-dir", f"{out}/eval",
       "--baseline", f"{out}/rule/predictions.tsv"])
 """
 
+# SHA-256 of every file `_PIPELINE` writes. They hold on every supported
+# Python; a change that moves one changes an output and must say so.
+_PIPELINE_DIGESTS = {
+    "clues.json": "c5cc78c5f30a0f02378f797659277b48a9b62799f7b0af729338be8514539646",
+    "eval/diff.json": "31f806d7135735c57ae5c8e0e207f1a8b32331e195016a2887238e63dcb7c03c",
+    "eval/pr_curve.csv": "125effd49cf1a7df5169007125e197de75e98ec868dc081a9d209dcb12970245",
+    "eval/summary.json": "0dbce48047d63b273a1d03e63b009a65ac85a31614d30479d5cb3ea0f4cb4594",
+    "hard/census.json": "0629109664c0ba6f1e94a072ea9f0e4a17ccedbe4c7b38eaecdef5a5a962c379",
+    "hard/predictions.tsv": "f6b72a9a4b81e12314207330755d1027d7002e70d5b1d032d69ca71cafbc0601",
+    "hard.lp": "aa97eb61229d8027bf2d4fe395c1a016724d416e05064691016d14797e4c927c",
+    "hard.tsv": "23fa43d6d733c490e09c5cc17885b4af1e50f12d1f169a48583acba10d746e89",
+    "mintzpp/census.json": "650987555c068cc0d91fa8d05a9a1766f622add30b0f16a7402704830a411c2d",
+    "mintzpp/predictions.tsv": "4c5e292b73101671ed1a9666f9c537fad536cd616669a1b6a936dea2e69de6a2",
+    "rule/census.json": "9637eb4ea4ff6f1184f774264f639b51a7aab8f0f974420704d8f74cc9293951",
+    "rule/predictions.tsv": "0581b03f7af9343d5abfdb418b05ba3681c465e61f0316c3e22c6cbaf29f2583",
+    "soft/census.json": "8849eb9adebcfa43ff77e861e9e1847c1b12a19d00a5fc51632dbd359b622a49",
+    "soft/predictions.tsv": "01dcf84d8f0c3c947c61e03250ed162ec393e52d5024c137b1cc5504b7e318fa",
+    "soft.lp": "d67601ca73504217d6c79b0b5b3246f5006d39e11d936ff2752133ccfa62b858",
+    "soft.tsv": "a4831259876292992cf85ed31a6223b9085290a6477527b2c2870669f7e81de2",
+    "world/gold.tsv": "9ca029050bcbc8593dcecf09081dd1d4d1a6ab5546feab4ed0bb5c2c11dbb786",
+    "world/predictions.jsonl": "06161d8189b93b0714da19e1b50936d24beca0b94b3f799f3d04af65f5cc07dc",
+    "world/triples.tsv": "b86a9dd16c2f8f2af69ebaa8072b7d760b14a6f2bf2422a839a8dd588395f9ec",
+}
+
 
 def test_outputs_identical_across_hash_seeds(tmp_path):
     """The whole pipeline, run in interpreters with different string-hash
     seeds, writes the same bytes: no output depends on set or dict order
-    of hashed keys. Kappa -0.2 gives finite clue scores, so soft mode
-    solves with links."""
+    of hashed keys. Those bytes are the pinned ones. Kappa -0.2 gives
+    finite clue scores, so soft mode solves with links."""
     src = str(Path(reljoint.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("1", "2"):
@@ -691,11 +721,13 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
             env=env, check=True, capture_output=True, timeout=120,
         )
         outputs.append(
-            {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         )
     census = json.loads(outputs[0]["soft/census.json"])
     assert census["aux_variables"] > 0 and census["solver"]["optimal"]
-    assert "eval/diff.json" in outputs[0]
+    assert json.loads(outputs[0]["hard/census.json"])["solver"]["optimal"]
     assert sorted(outputs[0]) == sorted(outputs[1])
     for name, data in outputs[0].items():
         assert data == outputs[1][name], name
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs[0].items()}
+    assert digests == _PIPELINE_DIGESTS

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from reljoint.candidates import Candidate, PairCandidates
 from reljoint.clues import (
+    ALL_KINDS,
     NEG_INF,
     ClueFileError,
     ClueSet,
@@ -206,7 +207,7 @@ class TestClueFile:
     def test_empty_file_is_empty_set(self, tmp_path):
         path = tmp_path / "clues.json"
         path.write_text("{}", encoding="utf-8")
-        assert len(load_clue_file(path)) == 0
+        assert load_clue_file(path).counts() == dict.fromkeys(ALL_KINDS, 0)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "clues.json"
@@ -326,7 +327,7 @@ class TestPruneClues:
 
     def test_top_one_drops_everything(self):
         pruned = prune_clues(self.make_clues(), self.make_candidates(), 1)
-        assert len(pruned) == 0
+        assert sum(pruned.counts().values()) == 0
 
     def test_output_is_subset(self):
         clues = self.make_clues()

@@ -12,8 +12,10 @@ from reljoint.candidates import MentionPrediction, build_pair_candidates
 from reljoint.clues import ClueSet, TypeClue
 from reljoint.constraints import (
     FAMILY_ORDER,
+    AuxVar,
     DecisionVar,
     HardConstraint,
+    SoftAugmentation,
     generate_blocks,
     generate_hard,
     soften,
@@ -102,6 +104,21 @@ class TestBuildModel:
         vars = [DecisionVar(3, "p", "s", "o", "r", 1.0)]
         with pytest.raises(ModelError):
             build_model(vars, [])
+
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ([(2, 0, 7)], "link references unknown variable 7"),
+            ([(2, 0, 1), (3, 0, 2)], "link endpoints must be decision variables"),
+            ([(3, 0, 1), (2, 0, 1)], "auxiliary ids must continue densely, found 3"),
+        ],
+    )
+    def test_bad_auxiliary_rejected(self, links, message):
+        vars, hard = two_var_conflict()
+        clue = hard[0].clue
+        aux = [AuxVar(i, a, b, 0.5, "sr", clue) for i, a, b in links]
+        with pytest.raises(ModelError, match=message):
+            build_model(vars, [], SoftAugmentation(tuple(aux)))
 
 
 class TestDecompose:
@@ -245,18 +262,27 @@ class TestPinnedSearch:
     a change to the branching order, the reductions or a tie-break moves
     them."""
 
+    # each world in the pairwise rows only tests build, then in the blocks
+    # the command line builds: the two forms search alike
+
     def test_hard_world(self, tmp_path):
-        solution = solve(synth_model(tmp_path, seed=7, pairs=300))
-        assert (solution.stats.nodes, solution.stats.components) == (201, 231)
-        assert solution.objective_value == 489.66778178071786
+        for blocks in (False, True):
+            model = synth_model(tmp_path / str(blocks), seed=7, pairs=300, blocks=blocks)
+            assert bool(model.bicliques) == blocks
+            solution = solve(model)
+            assert (solution.stats.nodes, solution.stats.components) == (201, 231), blocks
+            assert solution.objective_value == 489.66778178071786, blocks
 
     def test_soft_leaky_world(self, tmp_path):
-        model = synth_model(tmp_path, seed=7, pairs=150, leaks=4, alpha=1.0)
-        assert model.links
-        solution = solve(model)
-        assert (solution.stats.nodes, solution.stats.components) == (113, 131)
-        assert solution.stats.hardened_links == len(model.links) == 397
-        assert solution.objective_value == 256.262290111018
+        for blocks in (False, True):
+            model = synth_model(
+                tmp_path / str(blocks), seed=7, pairs=150, leaks=4, alpha=1.0, blocks=blocks
+            )
+            assert bool(model.bicliques) == blocks
+            solution = solve(model)
+            assert (solution.stats.nodes, solution.stats.components) == (113, 131), blocks
+            assert solution.stats.hardened_links == len(model.links) == 397, blocks
+            assert solution.objective_value == 256.262290111018, blocks
 
     def test_mixed_preference_hub(self):
         solution = solve(mixed_hub_model(40, seed=7))
@@ -777,6 +803,14 @@ def test_time_budget_covers_the_whole_solve(tmp_path):
     assert solution.objective_value >= 0
     assert check_assignment(model, solution.assignment) == []
     assert solution.stats.wall_ms < 700
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+def test_invalid_time_budget_rejected(budget):
+    # a NaN deadline never expires; a negative one would expire at once
+    model = build_model(*two_var_conflict())
+    with pytest.raises(ValueError, match="time_budget_ms must be >= 0"):
+        solve(model, budget)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
