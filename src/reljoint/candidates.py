@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .defaults import DEFAULT_MIN_CONF, DEFAULT_TOP_K
 from .kb import DataFileError
 
 log = logging.getLogger(__name__)
 
 # Reserved no-relation label; never becomes a candidate.
 NA_LABEL = "NA"
-
-DEFAULT_TOP_K = 3
-DEFAULT_MIN_CONF = 0.1
 
 _ID_FIELDS = ("pair_id", "subject", "object", "mention_id")
 

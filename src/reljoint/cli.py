@@ -4,6 +4,7 @@ Each RunConfig field has one flag, declared once in `_configured`; a JSON
 config file can preset any field and explicit flags win. Exit codes: 0
 success, 1 usage or configuration problem, found before any data is read
 or output written, 2 unreadable or malformed data.
+Start-up loads click and this module; each command imports what it runs.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import candidates as cand
-from . import clues as clue_mod
-from . import constraints as cons
-from . import evaluate as ev
-from . import ilp
-from . import synth as synth_mod
-from .kb import load_triples, read_triples
+from . import defaults
+
+if TYPE_CHECKING:
+    from .clues import ClueSet
 
 
 class ConfigError(Exception):
@@ -34,15 +33,15 @@ SOLVE_MODES = ("hard", "soft")
 
 @dataclass
 class RunConfig:
-    kappa: float = clue_mod.DEFAULT_KAPPA
-    uniq_threshold: float = clue_mod.DEFAULT_THETA
-    conf_threshold: float = cand.DEFAULT_MIN_CONF
-    top_k: int = cand.DEFAULT_TOP_K
+    kappa: float = defaults.DEFAULT_KAPPA
+    uniq_threshold: float = defaults.DEFAULT_THETA
+    conf_threshold: float = defaults.DEFAULT_MIN_CONF
+    top_k: int = defaults.DEFAULT_TOP_K
     alpha: float = 1.0
     mode: str = "hard"
     max_relations: int = 0
-    time_budget_ms: int = ilp.DEFAULT_TIME_BUDGET_MS
-    seed: int = synth_mod.SynthConfig.seed
+    time_budget_ms: int = defaults.DEFAULT_TIME_BUDGET_MS
+    seed: int = defaults.DEFAULT_SEED
 
     def validate(self) -> None:
         # a config file may hold any JSON value: check each against its
@@ -98,7 +97,9 @@ def _resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
     return config
 
 
-def _load_clue_files(paths: tuple[str, ...]) -> clue_mod.ClueSet:
+def _load_clue_files(paths: tuple[str, ...]) -> ClueSet:
+    from . import clues as clue_mod
+
     if not paths:
         return clue_mod.ClueSet()
     sets = [clue_mod.load_clue_file(p) for p in paths]
@@ -135,8 +136,12 @@ def _configured(*names):
 
 
 def _clue_kinds(_ctx, _param, value: str | None) -> list[str] | None:
-    kinds = value.split(",") if value else None
-    unknown = set(kinds or ()) - set(clue_mod.ALL_KINDS)
+    if not value:
+        return None
+    from .clues import ALL_KINDS
+
+    kinds = value.split(",")
+    unknown = set(kinds) - set(ALL_KINDS)
     if unknown:
         raise click.BadParameter(f"unknown clue kinds {sorted(unknown)}")
     return kinds
@@ -157,6 +162,9 @@ _out_dir = click.option("--out-dir", "out_dir", required=True, type=click.Path()
 @_out
 def mine(config_path, triples_path, out_path, **overrides):
     """Mine type and uniqueness clues from a KB triple file."""
+    from . import clues as clue_mod
+    from .kb import load_triples
+
     config = _resolve_config(config_path, overrides)
     kb = load_triples(triples_path)
     clues = clue_mod.mine_clues(kb, config.kappa, config.uniq_threshold)
@@ -175,6 +183,8 @@ def mine(config_path, triples_path, out_path, **overrides):
 @_out
 def candidates_cmd(config_path, predictions_path, out_path, **overrides):
     """Aggregate mention scores into per-pair candidate sets."""
+    from . import candidates as cand
+
     config = _resolve_config(config_path, overrides)
     mentions = cand.load_predictions(predictions_path)
     pairs = cand.build_pair_candidates(mentions, config.top_k, config.conf_threshold)
@@ -198,17 +208,23 @@ def candidates_cmd(config_path, predictions_path, out_path, **overrides):
 
 
 def _build_pipeline(predictions_path, clue_paths, config, families):
+    from . import candidates as cand
+    from .clues import prune_clues
+
     mentions = cand.load_predictions(predictions_path)
     pairs = cand.build_pair_candidates(mentions, config.top_k, config.conf_threshold)
     clues = _load_clue_files(clue_paths)
     if families:
         clues = clues.restrict(families)
     if config.max_relations:
-        clues = clue_mod.prune_clues(clues, pairs, config.max_relations)
+        clues = prune_clues(clues, pairs, config.max_relations)
     return mentions, pairs, clues
 
 
 def _build_model(pairs, clues, config):
+    from . import constraints as cons
+    from . import ilp
+
     vars, hard = cons.generate_blocks(pairs, clues)
     soft = None
     if config.mode == "soft":
@@ -229,6 +245,8 @@ def solve(
     config_path, predictions_path, clue_paths, out_dir, method, families, dump_path, **overrides
 ):
     """Select a consistent prediction set and write it with a constraint census."""
+    from . import evaluate as ev
+
     config = _resolve_config(config_path, overrides)
     if dump_path and method != "ilp":
         raise click.UsageError("--dump-constraints is only meaningful with --method ilp")
@@ -248,6 +266,9 @@ def solve(
     elif method == "rule":
         ranked = ev.rule_based(pairs, clues)
     else:
+        from . import constraints as cons
+        from . import ilp
+
         vars, hard, soft, model = _build_model(pairs, clues, config)
         if dump_path:
             cons.dump_constraints(dump_path, vars, hard, soft)
@@ -279,6 +300,9 @@ def solve(
 @click.option("--baseline", "baseline_path", type=click.Path(), default=None)
 def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
     """Precision-recall curve and peak F1 against gold; optional diff."""
+    from . import evaluate as ev
+    from .kb import read_triples
+
     _resolve_config(config_path, {})
     predictions = ev.read_ranked_predictions(predictions_path)
     gold = {(t.subject, t.relation, t.object) for t in read_triples(gold_path)}
@@ -321,18 +345,20 @@ def eval_cmd(config_path, predictions_path, gold_path, out_dir, baseline_path):
 @cli.command()
 @_configured("seed")
 @_out_dir
-@click.option("--pairs", type=int, default=synth_mod.SynthConfig.pairs)
-@click.option("--noise", type=float, default=synth_mod.SynthConfig.noise)
+@click.option("--pairs", type=int, default=defaults.DEFAULT_PAIRS)
+@click.option("--noise", type=float, default=defaults.DEFAULT_NOISE)
 @click.option(
     "--mode",
     "world_mode",
-    type=click.Choice(["conflict", "riedel"]),
-    default=synth_mod.SynthConfig.mode,
+    type=click.Choice(defaults.WORLD_MODES),
+    default=defaults.DEFAULT_WORLD_MODE,
 )
-@click.option("--mentions-min", type=int, default=synth_mod.SynthConfig.mentions_per_pair[0])
-@click.option("--mentions-max", type=int, default=synth_mod.SynthConfig.mentions_per_pair[1])
+@click.option("--mentions-min", type=int, default=defaults.DEFAULT_MENTIONS_PER_PAIR[0])
+@click.option("--mentions-max", type=int, default=defaults.DEFAULT_MENTIONS_PER_PAIR[1])
 def synth(config_path, out_dir, pairs, noise, world_mode, mentions_min, mentions_max, **overrides):
     """Generate a seeded synthetic world (KB, gold task, noisy mentions)."""
+    from . import synth as synth_mod
+
     config = _resolve_config(config_path, overrides)
     try:
         synth_config = synth_mod.SynthConfig(
@@ -358,6 +384,8 @@ def synth(config_path, out_dir, pairs, noise, world_mode, mentions_min, mentions
 @_families
 def export_lp_cmd(config_path, predictions_path, clue_paths, out_path, families, **overrides):
     """Write the model as an LP text file for an external solver."""
+    from . import ilp
+
     config = _resolve_config(config_path, overrides)
     _mentions, pairs, clues = _build_pipeline(predictions_path, clue_paths, config, families)
     _vars, _hard, _soft, model = _build_model(pairs, clues, config)

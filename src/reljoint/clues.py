@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
+from .defaults import DEFAULT_KAPPA, DEFAULT_THETA
 from .kb import KbIndex
 
 NEG_INF = float("-inf")
@@ -27,9 +28,6 @@ NEG_INF = float("-inf")
 TYPE_KINDS = ("sr", "ro", "rer")
 UNIQUENESS_KINDS = ("ou", "su")
 ALL_KINDS = TYPE_KINDS + UNIQUENESS_KINDS
-
-DEFAULT_KAPPA = -3.0
-DEFAULT_THETA = 0.8
 
 MINED = "mined"
 MANUAL = "manual"

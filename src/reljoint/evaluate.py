@@ -13,12 +13,14 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .candidates import NA_LABEL, MentionPrediction, PairCandidates
-from .clues import ClueSet
-from .constraints import ClashIndex, DecisionVar
-from .ilp import Solution
+
+if TYPE_CHECKING:
+    from .clues import ClueSet
+    from .constraints import DecisionVar
+    from .ilp import Solution
 
 GoldTriple = tuple[str, str, str]
 
@@ -100,6 +102,9 @@ def rule_based(
 ) -> list[RankedPrediction]:
     """Greedy conflict resolution: walk candidates by confidence and keep
     each one unless it clashes with something already kept."""
+    # imported on use, so that `reljoint eval` starts without constraints
+    from .constraints import ClashIndex
+
     ranked = _rank(
         RankedPrediction(pc.pair_id, pc.subject, pc.object, rel, cand.conf)
         for pc in candidates

@@ -61,9 +61,9 @@ from .constraints import (
     SoftAugmentation,
     canonical_rows,
 )
+from .defaults import DEFAULT_TIME_BUDGET_MS
 
 BRUTE_FORCE_LIMIT = 25
-DEFAULT_TIME_BUDGET_MS = 60_000
 
 
 class ModelError(ValueError):

@@ -30,6 +30,14 @@ from random import Random
 from typing import Sequence
 
 from .candidates import NA_LABEL, MentionPrediction, write_predictions_file
+from .defaults import (
+    DEFAULT_MENTIONS_PER_PAIR,
+    DEFAULT_NOISE,
+    DEFAULT_PAIRS,
+    DEFAULT_SEED,
+    DEFAULT_WORLD_MODE,
+    WORLD_MODES,
+)
 from .kb import Triple, write_triples
 
 # Construction constants; validation re-checks the resulting ratios.
@@ -87,16 +95,16 @@ _RIEDEL_DOMINANT_SHARE = 0.7
 
 @dataclass
 class SynthConfig:
-    seed: int = 0
-    pairs: int = 500
-    noise: float = 0.3
-    mode: str = "conflict"  # "conflict" | "riedel"
+    seed: int = DEFAULT_SEED
+    pairs: int = DEFAULT_PAIRS
+    noise: float = DEFAULT_NOISE
+    mode: str = DEFAULT_WORLD_MODE
     entity_counts: dict[str, int] = field(default_factory=dict)
     relations: list[RelationSpec] = field(default_factory=list)
-    mentions_per_pair: tuple[int, int] = (1, 3)
+    mentions_per_pair: tuple[int, int] = DEFAULT_MENTIONS_PER_PAIR
 
     def __post_init__(self):
-        if self.mode not in ("conflict", "riedel"):
+        if self.mode not in WORLD_MODES:
             raise SynthConfigError(f"unknown mode {self.mode!r}")
         if not self.entity_counts:
             self.entity_counts = (

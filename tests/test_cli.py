@@ -388,6 +388,111 @@ def test_import_loads_no_numpy():
     assert result.stdout.strip() == "False"
 
 
+_PRINT_LOADED = """
+import sys
+print(" ".join(sorted(name for name in sys.modules if name.startswith("reljoint"))))
+"""
+
+_RUN_COMMAND = """
+import sys
+from reljoint.cli import main
+
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
+""" + _PRINT_LOADED
+
+
+def _last_line_of_fresh_run(code: str, *args: str) -> str:
+    src = str(Path(reljoint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def _loaded_modules(code: str, *args: str) -> set[str]:
+    """The reljoint modules a fresh interpreter holds after running `code`."""
+    return set(_last_line_of_fresh_run(code, *args).split())
+
+
+_START_UP = {"reljoint", "reljoint.cli", "reljoint.defaults"}
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_modules("import reljoint" + _PRINT_LOADED) == {"reljoint"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (None, set()),
+        (["solve", "--help"], set()),
+        (["mine", "--triples", "WORLD/triples.tsv", "--out", "OUT/clues.json"], {"kb", "clues"}),
+        (["candidates", "--predictions", "WORLD/predictions.jsonl", "--out", "OUT/c.json"],
+         {"candidates", "kb"}),
+        (["eval", "--predictions", "OUT/run.tsv", "--gold", "WORLD/gold.tsv",
+          "--out-dir", "OUT/eval"], {"evaluate", "candidates", "kb"}),
+        (["synth", "--out-dir", "OUT/synth", "--pairs", "20"], {"synth", "candidates", "kb"}),
+    ],
+    ids=["import", "solve-help", "mine", "candidates", "eval", "synth"],
+)
+def test_start_up_loads_only_what_the_command_runs(world, tmp_path, argv, loads):
+    """Every command is its own process: importing the command line loads
+    click, the command line and the defaults, and each command adds only
+    the modules it runs."""
+    if argv is None:
+        loaded = _loaded_modules("import reljoint.cli" + _PRINT_LOADED)
+    else:
+        write_lines(tmp_path / "run.tsv", ["p0\ts\tr\to\t0.5"])
+        argv = [a.replace("WORLD", str(world.triples_path.parent)).replace("OUT", str(tmp_path))
+                for a in argv]
+        loaded = _loaded_modules(_RUN_COMMAND, *argv)
+    assert loaded == _START_UP | {f"reljoint.{name}" for name in loads}
+
+
+# the names the package root exported when it imported every module eagerly
+_EXPORTED = {
+    "candidates": ["NA_LABEL", "Candidate", "MentionPrediction", "PairCandidates", "aggregate",
+                   "build_pair_candidates", "load_predictions", "select_mention_candidates"],
+    "clues": ["ClueSet", "TypeClue", "UniquenessClue", "kulczynski", "load_clue_file",
+              "merge_clue_sets", "mine_clues", "mine_type_clues", "mine_uniqueness_clues",
+              "prune_clues", "save_clue_file"],
+    "constraints": ["AuxVar", "ConflictBlock", "DecisionVar", "HardConstraint",
+                    "SoftAugmentation", "generate_blocks", "generate_hard", "soften"],
+    "evaluate": ["DiffReport", "PeakF1", "PrPoint", "RankedPrediction", "diff_analysis",
+                 "mintzpp", "peak_f1", "pr_curve", "ranked_from_solution", "rule_based"],
+    "ilp": ["Component", "IlpModel", "Solution", "brute_force", "build_model",
+            "check_assignment", "decompose", "export_lp", "selection_objective", "solve"],
+    "kb": ["KbIndex", "Triple", "load_triples", "read_triples"],
+    "synth": ["GeneratedWorld", "RelationSpec", "SynthConfig", "generate"],
+}
+_EXPORTED_NAMES = sorted(name for names in _EXPORTED.values() for name in names)
+
+
+def test_package_root_resolves_each_name_from_its_home_module():
+    import importlib
+
+    for module, names in _EXPORTED.items():
+        home = importlib.import_module(f"reljoint.{module}")
+        for name in names:
+            assert getattr(reljoint, name) is getattr(home, name), name
+    assert len(_EXPORTED_NAMES) == 55
+    assert sorted(reljoint.__all__) == _EXPORTED_NAMES
+    assert set(_EXPORTED_NAMES) <= set(dir(reljoint))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        reljoint.no_such_name  # noqa: B018
+
+
+def test_star_import_of_the_package_root():
+    probe = "from reljoint import *\nprint(*sorted(k for k in dir() if not k.startswith('_')))"
+    assert _last_line_of_fresh_run(probe).split() == _EXPORTED_NAMES
+
+
 _QUICK_START_WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
@@ -432,6 +537,20 @@ def test_run_config_defaults_match_documented_values():
     assert config.alpha == 1.0
     assert config.mode == "hard"
     assert config.max_relations == 0
+    assert config.time_budget_ms == 60000
+    assert config.seed == 0
+    synth_flags = {param.name: param.default for param in cli.commands["synth"].params}
+    assert {name: synth_flags[name] for name in
+            ("pairs", "noise", "world_mode", "mentions_min", "mentions_max")} == {
+        "pairs": 500, "noise": 0.3, "world_mode": "conflict", "mentions_min": 1, "mentions_max": 3,
+    }
+    from reljoint.synth import SynthConfig
+
+    world = SynthConfig()
+    assert (world.seed, world.pairs, world.noise, world.mode, world.mentions_per_pair) == (
+        config.seed, synth_flags["pairs"], synth_flags["noise"], synth_flags["world_mode"],
+        (synth_flags["mentions_min"], synth_flags["mentions_max"]),
+    )
 
 
 @pytest.mark.parametrize(
