@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
 from .defaults import DEFAULT_KAPPA, DEFAULT_THETA
-from .kb import KbIndex
+from .kb import DataFileError, KbIndex
 
 NEG_INF = float("-inf")
 
@@ -33,18 +33,19 @@ MINED = "mined"
 MANUAL = "manual"
 
 
-class ClueFileError(ValueError):
-    """Clue file failed validation; message lists the offending entries."""
+class ClueFileError(DataFileError):
+    """Clue file failed validation; the message names the file and entry."""
 
 
 @dataclass(frozen=True)
 class TypeClue:
     """Two relations whose argument slots should not share an entity.
 
-    `sr` and `ro` are symmetric and stored with (rel_a, rel_b) in
-    lexicographic order. `rer` is directed: rel_a's object slot conflicts
-    with rel_b's subject slot. `k_score` is the overlap score that mined
-    the clue; manual clues carry -inf (maximally confident).
+    `sr` (subject slots) and `ro` (object slots) are symmetric and stored
+    with (rel_a, rel_b) in lexicographic order. `rer` is directed: rel_a's
+    object slot conflicts with rel_b's subject slot (see `ClueSet.joins`).
+    `k_score` is the overlap score that mined the clue; manual clues carry
+    -inf (maximally confident).
     """
 
     kind: str
@@ -91,7 +92,18 @@ class UniquenessClue:
 
 @dataclass
 class ClueSet:
-    """The five clue collections, deduplicated by canonical key."""
+    """The five clue collections, deduplicated by canonical key, and the
+    join index that defines which candidates clash.
+
+    `joins[slot_a, slot_b][rel_a][rel_b]` is the tuple of clues that forbid
+    a `rel_a` candidate whose `slot_a` entity is the `slot_b` entity of a
+    `rel_b` candidate; a slot is "subject" or "object". `sr(a, b)` sits
+    under (subject a, subject b), `ro(a, b)` under (object a, object b),
+    `rer(a, b)` under (object a, subject b), `ou(r)` under (subject r,
+    subject r) and `su(r)` under (object r, object r); each also sits under
+    its reverse view, (subject b, subject a) and so on. `sr(r, r)` and
+    `ou(r)` join the same bucket, so an entry can hold both.
+    """
 
     sr: list[TypeClue] = field(default_factory=list)
     ro: list[TypeClue] = field(default_factory=list)
@@ -101,11 +113,24 @@ class ClueSet:
 
     def __post_init__(self):
         self._validate()
-        self._sr_index = {(c.rel_a, c.rel_b): c for c in self.sr}
-        self._ro_index = {(c.rel_a, c.rel_b): c for c in self.ro}
-        self._rer_index = {(c.rel_a, c.rel_b): c for c in self.rer}
-        self._ou_index = {c.rel: c for c in self.ou}
-        self._su_index = {c.rel: c for c in self.su}
+        slots = ("subject", "object")
+        self.joins: dict[tuple[str, str], dict[str, dict[str, tuple]]] = {
+            (a, b): {} for a in slots for b in slots
+        }
+        for kind, slot_a, slot_b in (
+            ("sr", "subject", "subject"),
+            ("ro", "object", "object"),
+            ("rer", "object", "subject"),
+            ("ou", "subject", "subject"),
+            ("su", "object", "object"),
+        ):
+            for clue in getattr(self, kind):
+                rel_a, rel_b = (clue.rel_a, clue.rel_b) if kind in TYPE_KINDS else (clue.rel,) * 2
+                views = ((slot_a, slot_b, rel_a, rel_b), (slot_b, slot_a, rel_b, rel_a))
+                # sr(r, r) and ou(r) are their own reverse view, stored once
+                for a, b, ra, rb in dict.fromkeys(views):
+                    row = self.joins[a, b].setdefault(ra, {})
+                    row[rb] = row.get(rb, ()) + (clue,)
 
     def _validate(self) -> None:
         duplicates = []
@@ -117,24 +142,6 @@ class ClueSet:
                 seen.add(clue.key)
         if duplicates:
             raise ClueFileError(f"duplicate clues: {sorted(duplicates)}")
-
-    def sr_clue(self, rel_a: str, rel_b: str) -> TypeClue | None:
-        key = (rel_a, rel_b) if rel_a <= rel_b else (rel_b, rel_a)
-        return self._sr_index.get(key)
-
-    def ro_clue(self, rel_a: str, rel_b: str) -> TypeClue | None:
-        key = (rel_a, rel_b) if rel_a <= rel_b else (rel_b, rel_a)
-        return self._ro_index.get(key)
-
-    def rer_clue(self, rel_from: str, rel_to: str) -> TypeClue | None:
-        """Directed lookup: rel_from's object against rel_to's subject."""
-        return self._rer_index.get((rel_from, rel_to))
-
-    def ou_clue(self, rel: str) -> UniquenessClue | None:
-        return self._ou_index.get(rel)
-
-    def su_clue(self, rel: str) -> UniquenessClue | None:
-        return self._su_index.get(rel)
 
     def counts(self) -> dict[str, int]:
         return {kind: len(getattr(self, kind)) for kind in ALL_KINDS}
@@ -294,27 +301,32 @@ def load_clue_file(path: str | Path) -> ClueSet:
 
     Bare pairs / relation names are manual clues; entries with a score
     field keep their mined score. Unknown keys, a kind whose value is not
-    a list, malformed entries (a bool is not a number) and duplicates
-    raise ClueFileError.
+    a list, malformed entries (a bool is not a number, a score above 0, a
+    ratio outside [0, 1]) and duplicates raise ClueFileError, whose
+    message starts with the file's path.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise ClueFileError(f"{path}: not valid JSON ({exc})") from exc
+            raise ClueFileError(f"not valid JSON ({exc})", path) from exc
     if not isinstance(payload, dict):
-        raise ClueFileError(f"{path}: top level must be an object")
+        raise ClueFileError("top level must be an object", path)
     unknown = set(payload) - set(ALL_KINDS)
     if unknown:
-        raise ClueFileError(f"{path}: unknown clue kinds {sorted(unknown)}")
+        raise ClueFileError(f"unknown clue kinds {sorted(unknown)}", path)
     collections: dict[str, list] = {}
-    for kind in ALL_KINDS:
-        entries = payload.get(kind, [])
-        if not isinstance(entries, list):
-            raise ClueFileError(f"{path}: {kind} must be a list of entries, got {entries!r}")
-        parse = _parse_type_entry if kind in TYPE_KINDS else _parse_uniqueness_entry
-        collections[kind] = [parse(kind, entry) for entry in entries]
-    return ClueSet(**collections)
+    try:
+        for kind in ALL_KINDS:
+            entries = payload.get(kind, [])
+            if not isinstance(entries, list):
+                raise ClueFileError(f"{kind} must be a list of entries, got {entries!r}")
+            parse = _parse_type_entry if kind in TYPE_KINDS else _parse_uniqueness_entry
+            collections[kind] = [parse(kind, entry) for entry in entries]
+        return ClueSet(**collections)
+    except ValueError as exc:
+        # from the checks that do not know the path (entries, duplicates)
+        raise ClueFileError(str(exc), path) from exc
 
 
 def save_clue_file(clues: ClueSet, path: str | Path) -> None:

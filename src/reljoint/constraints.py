@@ -6,13 +6,13 @@ through shared entities yield five at-most-one constraint families; the
 three type families can optionally be relaxed into penalized soft
 constraints backed by auxiliary variables.
 
-The join keys candidates by (entity, relation) bucket. One type clue at
-one entity is one `ConflictBlock`: no variable of one bucket together with
-any variable of the other, standing for |left|·|right| pairwise rows.
-`generate_blocks` is the join; `generate_hard` is its canonical expansion
-into those rows, which `expand` defines for every consumer that writes or
-counts rows. `ClashIndex` answers the same question one candidate at a
-time, for the greedy baseline.
+The join keys candidates by (entity, relation) bucket and reads which
+buckets clash from `ClueSet.joins`, the one definition of a clash (the
+greedy baseline reads it too). One type clue at one entity is one
+`ConflictBlock`: no variable of one bucket together with any variable of
+the other, standing for |left|·|right| pairwise rows. `generate_blocks` is
+the join; `generate_hard` is its canonical expansion into those rows,
+which `expand` defines for every consumer that writes or counts rows.
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ def generate_blocks(
 ) -> tuple[list[DecisionVar], list[Constraint]]:
     """Join candidate variables through shared entities against the clues.
 
-    Variables are bucketed by (subject, relation) and (object, relation).
-    Emits, in canonical order (family, then sides or member ids):
+    Variables are bucketed by (subject, relation) and (object, relation),
+    and `clues.joins` says which buckets clash. Emits, in canonical order
+    (family, then sides or member ids):
 
     * `sr` - per subject, one block for each clued pair of its relation
       buckets (a pair holding both relations joins itself);
@@ -183,110 +184,56 @@ def generate_blocks(
         by_object[v.object][v.relation].append(v.id)
 
     blocks: list[ConflictBlock] = []
-    for family, slots, lookup in (
-        ("sr", by_subject, clues.sr_clue),
-        ("ro", by_object, clues.ro_clue),
+    groups: list[HardConstraint] = []
+    for slots, joins in (
+        (by_subject, clues.joins["subject", "subject"]),
+        (by_object, clues.joins["object", "object"]),
     ):
         for buckets in slots.values():
-            rels = sorted(buckets)
-            for i, rel_a in enumerate(rels):
-                for rel_b in rels[i:]:
-                    clue = lookup(rel_a, rel_b)
-                    if clue is not None and (rel_a != rel_b or len(buckets[rel_a]) > 1):
-                        blocks.append(
-                            ConflictBlock(
-                                family, clue, tuple(buckets[rel_a]), tuple(buckets[rel_b])
+            for rel_a, left in buckets.items():
+                row = joins.get(rel_a)
+                if row is None:
+                    continue
+                for rel_b, right in buckets.items():
+                    # each pair of buckets once; one bucket joins itself only
+                    # with two or more members
+                    if rel_a > rel_b or rel_b not in row or (rel_a == rel_b and len(left) < 2):
+                        continue
+                    for clue in row[rel_b]:
+                        if clue.kind in TYPE_KINDS:
+                            blocks.append(
+                                ConflictBlock(clue.kind, clue, tuple(left), tuple(right))
                             )
-                        )
+                        else:
+                            groups.append(HardConstraint(clue.kind, tuple(left), clue))
 
+    rer_joins = clues.joins["object", "subject"]
     degenerate_rer = 0
     for entity, obj_buckets in by_object.items():
         subj_buckets = by_subject.get(entity)
         if not subj_buckets:
             continue
         for rel_a, obj_ids in obj_buckets.items():  # pairs with `entity` as object
+            row = rer_joins.get(rel_a)
+            if row is None:
+                continue
             plain = tuple(a for a in obj_ids if vars[a].subject != entity)
             loops = [a for a in obj_ids if vars[a].subject == entity]
             for rel_b, subj_ids in subj_buckets.items():  # ... and as subject
-                clue = clues.rer_clue(rel_a, rel_b)
-                if clue is None:
-                    continue
-                right = tuple(subj_ids)
-                if plain:
-                    blocks.append(ConflictBlock("rer", clue, plain, right))
-                for a in loops:
-                    others = tuple(b for b in right if vars[b].pair_id != vars[a].pair_id)
-                    degenerate_rer += len(right) - len(others)
-                    if others:
-                        blocks.append(ConflictBlock("rer", clue, (a,), others))
+                for clue in row.get(rel_b, ()):
+                    right = tuple(subj_ids)
+                    if plain:
+                        blocks.append(ConflictBlock("rer", clue, plain, right))
+                    for a in loops:
+                        others = tuple(b for b in right if vars[b].pair_id != vars[a].pair_id)
+                        degenerate_rer += len(right) - len(others)
+                        if others:
+                            blocks.append(ConflictBlock("rer", clue, (a,), others))
     if degenerate_rer:
         log.debug("skipped %d degenerate same-pair rer joins", degenerate_rer)
     blocks.sort(key=lambda b: (FAMILY_ORDER[b.family], b.left, b.right))
-
-    grouped: dict[tuple[str, str, str], list[int]] = defaultdict(list)
-    for v in vars:
-        if clues.ou_clue(v.relation) is not None:
-            grouped[("ou", v.relation, v.subject)].append(v.id)
-        if clues.su_clue(v.relation) is not None:
-            grouped[("su", v.relation, v.object)].append(v.id)
-    groups = [
-        HardConstraint(
-            family,
-            tuple(ids),
-            clues.ou_clue(relation) if family == "ou" else clues.su_clue(relation),
-        )
-        for (family, relation, _entity), ids in grouped.items()
-        if len(ids) > 1
-    ]
     groups.sort(key=lambda c: (FAMILY_ORDER[c.family], c.var_ids))
     return vars, [*blocks, *groups]
-
-
-class ClashIndex:
-    """Kept candidates indexed for clash checks against a clue set.
-
-    A candidate is anything with `pair_id`, `subject`, `object` and
-    `relation`. It clashes with a kept one exactly where `generate_blocks`
-    would join the two: same clue lookups, same entity joins, same skipping
-    of a pair joined against itself for `rer`. Kept pairs are indexed by
-    entity, then relation, so a check looks up each relation kept at an
-    entity once, however many pairs hold it there.
-    """
-
-    def __init__(self, clues: ClueSet):
-        self.clues = clues
-        # entity -> relation -> ids of the kept pairs with it in that slot;
-        # a pair has one candidate per relation, so no id repeats in a list
-        self.by_subject: dict[str, dict[str, list[str]]] = {}
-        self.by_object: dict[str, dict[str, list[str]]] = {}
-
-    def clashes(self, cand) -> bool:
-        clues, rel = self.clues, cand.relation
-        for kept in self.by_subject.get(cand.subject, ()):
-            if clues.sr_clue(kept, rel) is not None:
-                return True
-            if kept == rel and clues.ou_clue(rel) is not None:
-                return True
-        for kept in self.by_object.get(cand.object, ()):
-            if clues.ro_clue(kept, rel) is not None:
-                return True
-            if kept == rel and clues.su_clue(rel) is not None:
-                return True
-        # rer joins the candidate with every kept pair but its own
-        own = [cand.pair_id]
-        for kept, pair_ids in self.by_subject.get(cand.object, {}).items():
-            if pair_ids != own and clues.rer_clue(rel, kept) is not None:
-                return True
-        for kept, pair_ids in self.by_object.get(cand.subject, {}).items():
-            if pair_ids != own and clues.rer_clue(kept, rel) is not None:
-                return True
-        return False
-
-    def accept(self, cand) -> None:
-        at_subject = self.by_subject.setdefault(cand.subject, {})
-        at_subject.setdefault(cand.relation, []).append(cand.pair_id)
-        at_object = self.by_object.setdefault(cand.object, {})
-        at_object.setdefault(cand.relation, []).append(cand.pair_id)
 
 
 def expand(constraints: Sequence[Constraint]) -> list[HardConstraint]:

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .candidates import NA_LABEL, MentionPrediction, PairCandidates
+from .kb import DataFileError
 
 if TYPE_CHECKING:
     from .clues import ClueSet
@@ -101,21 +102,57 @@ def rule_based(
     candidates: Sequence[PairCandidates], clues: ClueSet
 ) -> list[RankedPrediction]:
     """Greedy conflict resolution: walk candidates by confidence and keep
-    each one unless it clashes with something already kept."""
-    # imported on use, so that `reljoint eval` starts without constraints
-    from .constraints import ClashIndex
-
+    each one unless `clues.joins` joins it, at a shared entity, with one
+    already kept (the join `generate_blocks` makes). A check reads the
+    index once per relation kept at an entity, however many pairs hold it.
+    """
     ranked = _rank(
         RankedPrediction(pc.pair_id, pc.subject, pc.object, rel, cand.conf)
         for pc in candidates
         for rel, cand in pc.candidates.items()
     )
-    state = ClashIndex(clues)
+    same_subject = clues.joins["subject", "subject"]
+    same_object = clues.joins["object", "object"]
+    object_subject = clues.joins["object", "subject"]
+    subject_object = clues.joins["subject", "object"]
+    # entity -> relation -> ids of the kept pairs with it in that slot; a
+    # pair has one candidate per relation, so no id repeats in a list
+    by_subject: dict[str, dict[str, list[str]]] = {}
+    by_object: dict[str, dict[str, list[str]]] = {}
+
+    def clashes(cand: RankedPrediction) -> bool:
+        rel = cand.relation
+        row = same_subject.get(rel)
+        if row:
+            for kept_rel in by_subject.get(cand.subject, ()):
+                if kept_rel in row:
+                    return True
+        row = same_object.get(rel)
+        if row:
+            for kept_rel in by_object.get(cand.object, ()):
+                if kept_rel in row:
+                    return True
+        # rer joins the candidate with every kept pair but its own
+        own = [cand.pair_id]
+        row = object_subject.get(rel)
+        if row:
+            for kept_rel, pair_ids in by_subject.get(cand.object, {}).items():
+                if kept_rel in row and pair_ids != own:
+                    return True
+        row = subject_object.get(rel)
+        if row:
+            for kept_rel, pair_ids in by_object.get(cand.subject, {}).items():
+                if kept_rel in row and pair_ids != own:
+                    return True
+        return False
+
     kept: list[RankedPrediction] = []
     for cand in ranked:
-        if not state.clashes(cand):
-            state.accept(cand)
+        if not clashes(cand):
             kept.append(cand)
+            rel, pair_id = cand.relation, cand.pair_id
+            by_subject.setdefault(cand.subject, {}).setdefault(rel, []).append(pair_id)
+            by_object.setdefault(cand.object, {}).setdefault(rel, []).append(pair_id)
     # a subsequence of the ranked list is already in rank order
     return kept
 
@@ -246,7 +283,7 @@ def read_ranked_predictions(path: str | Path) -> list[RankedPrediction]:
                 continue
             fields = line.split("\t")
             if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
+                raise DataFileError("expected 5 tab-separated fields", path, lineno)
             pair_id, subject, relation, obj, score = fields
             try:
                 value = float(score)
@@ -254,7 +291,7 @@ def read_ranked_predictions(path: str | Path) -> list[RankedPrediction]:
                 value = math.nan
             # a NaN would make the ranking depend on the line order
             if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: score {score!r} is not a finite number")
+                raise DataFileError(f"score {score!r} is not a finite number", path, lineno)
             out.append(RankedPrediction(pair_id, subject, obj, relation, value))
     return out
 

@@ -17,14 +17,15 @@ FIELD_SEPARATOR = "\t"
 
 
 class DataFileError(ValueError):
-    """Malformed data file; carries the path and the 1-based line number.
-    Each file format's error derives from it."""
+    """Malformed data file; carries the path and the 1-based line number,
+    which prefix the message when known. Each file format's error derives
+    from it."""
 
     def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
         self.path = str(path) if path is not None else None
         self.line = line
-        where = f"{self.path or '<input>'}:{line}" if line is not None else str(self.path)
-        super().__init__(f"{where}: {message}")
+        where = f"{self.path or '<input>'}:{line}" if line is not None else self.path
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class TripleFileError(DataFileError):

@@ -345,6 +345,21 @@ def test_misshapen_clue_file_exits_2(tmp_path, capsys, world, payload):
     assert "data error" in err and "Traceback" not in err
 
 
+def test_bad_clue_file_among_two_is_named(tmp_path, capsys, world):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"sr": [["a", "b"]]}), encoding="utf-8")
+    bad.write_text(json.dumps({"sr": [["a"]]}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["solve", "--predictions", str(world.predictions_path), "--clues", str(good),
+             "--clues", str(bad), "--out-dir", str(tmp_path / "run")]
+        )
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"data error: {bad}: sr entry must be a pair of relation names: ['a']" in err
+    assert str(good) not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -438,8 +453,10 @@ def test_package_import_loads_no_module():
         (["eval", "--predictions", "OUT/run.tsv", "--gold", "WORLD/gold.tsv",
           "--out-dir", "OUT/eval"], {"evaluate", "candidates", "kb"}),
         (["synth", "--out-dir", "OUT/synth", "--pairs", "20"], {"synth", "candidates", "kb"}),
+        (["solve", "--predictions", "WORLD/predictions.jsonl", "--method", "rule",
+          "--out-dir", "OUT/rule"], {"evaluate", "candidates", "clues", "kb"}),
     ],
-    ids=["import", "solve-help", "mine", "candidates", "eval", "synth"],
+    ids=["import", "solve-help", "mine", "candidates", "eval", "synth", "solve-rule"],
 )
 def test_start_up_loads_only_what_the_command_runs(world, tmp_path, argv, loads):
     """Every command is its own process: importing the command line loads

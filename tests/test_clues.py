@@ -21,6 +21,8 @@ from reljoint.clues import (
     prune_clues,
     save_clue_file,
 )
+from reljoint.kb import DataFileError
+
 from conftest import kb_from
 
 
@@ -191,6 +193,23 @@ class TestMineUniquenessClues:
             mine_uniqueness_clues(kb, theta=1.2)
 
 
+def test_join_index_holds_each_clue_under_its_slots_and_reverse_view():
+    sr_ab, sr_rr = TypeClue("sr", "b", "a"), TypeClue("sr", "r", "r")
+    ro_ab = TypeClue("ro", "a", "b")
+    rer_ab, rer_rr = TypeClue("rer", "a", "b"), TypeClue("rer", "r", "r")
+    ou_r, su_r = UniquenessClue("ou", "r"), UniquenessClue("su", "r")
+    clues = ClueSet(sr=[sr_ab, sr_rr], ro=[ro_ab], rer=[rer_ab, rer_rr], ou=[ou_r], su=[su_r])
+    assert clues.joins == {
+        ("subject", "subject"): {
+            "a": {"b": (sr_ab,)}, "b": {"a": (sr_ab,)}, "r": {"r": (sr_rr, ou_r)},
+        },
+        ("object", "object"): {"a": {"b": (ro_ab,)}, "b": {"a": (ro_ab,)}, "r": {"r": (su_r,)}},
+        ("object", "subject"): {"a": {"b": (rer_ab,)}, "r": {"r": (rer_rr,)}},
+        ("subject", "object"): {"b": {"a": (rer_ab,)}, "r": {"r": (rer_rr,)}},
+    }
+    assert ClueSet().joins == {slots: {} for slots in clues.joins}
+
+
 class TestClueFile:
     def test_manual_pairs_and_relations(self, tmp_path):
         path = tmp_path / "clues.json"
@@ -220,14 +239,34 @@ class TestClueFile:
         path.write_text(
             json.dumps({"sr": [["a", "b"], ["b", "a"]]}), encoding="utf-8"
         )
-        with pytest.raises(ClueFileError, match="duplicate"):
+        with pytest.raises(ClueFileError, match="duplicate") as err:
             load_clue_file(path)
+        assert str(err.value).startswith(f"{path}: duplicate clues")
+        with pytest.raises(ClueFileError, match="^duplicate clues"):
+            ClueSet(sr=[TypeClue("sr", "a", "b")] * 2)
 
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "clues.json"
         path.write_text(json.dumps({"sr": [["solo"]]}), encoding="utf-8")
-        with pytest.raises(ClueFileError):
+        with pytest.raises(ClueFileError) as err:
             load_clue_file(path)
+        assert isinstance(err.value, DataFileError) and err.value.path == str(path)
+        assert str(err.value) == f"{path}: sr entry must be a pair of relation names: ['solo']"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"ro": [{"relations": ["a", "b"], "k_score": 0.5}]}, "k_score must be <= 0, got 0.5"),
+            ({"ou": [{"relation": "a", "ratio": 1.5}]}, "ratio must be in [0,1], got 1.5"),
+        ],
+        ids=["positive-score", "ratio-above-1"],
+    )
+    def test_out_of_range_entry_names_the_file(self, tmp_path, payload, message):
+        path = tmp_path / "clues.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ClueFileError) as err:
+            load_clue_file(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_nan_score_rejected(self, tmp_path):
         # json reads the bare token NaN as a float

@@ -255,30 +255,32 @@ def test_dump_constraints_file(tmp_path):
 
 
 def naive_join(candidates, clues):
-    """Every two variables tested against the clues, one at a time: the
-    reference the bucket join of `generate_blocks` must reproduce."""
+    """Every two variables tested against the clues, one at a time, through
+    lookups built here from the clue lists: the reference the bucket join
+    of `generate_blocks` must reproduce."""
+    sr = {frozenset((c.rel_a, c.rel_b)): c for c in clues.sr}
+    ro = {frozenset((c.rel_a, c.rel_b)): c for c in clues.ro}
+    rer = {(c.rel_a, c.rel_b): c for c in clues.rer}
     vars = build_decision_vars(candidates)
     rows = []
     for va in vars:
         for vb in vars:
             if va.id < vb.id and va.subject == vb.subject:
-                clue = clues.sr_clue(va.relation, vb.relation)
+                clue = sr.get(frozenset((va.relation, vb.relation)))
                 if clue is not None:
                     rows.append(HardConstraint("sr", (va.id, vb.id), clue))
             if va.id < vb.id and va.object == vb.object:
-                clue = clues.ro_clue(va.relation, vb.relation)
+                clue = ro.get(frozenset((va.relation, vb.relation)))
                 if clue is not None:
                     rows.append(HardConstraint("ro", (va.id, vb.id), clue))
             if va.object == vb.subject and va.pair_id != vb.pair_id:
-                clue = clues.rer_clue(va.relation, vb.relation)
+                clue = rer.get((va.relation, vb.relation))
                 if clue is not None:
                     rows.append(HardConstraint("rer", (va.id, vb.id), clue))
-    for family, slot, lookup in (
-        ("ou", "subject", clues.ou_clue),
-        ("su", "object", clues.su_clue),
-    ):
+    for family, slot in (("ou", "subject"), ("su", "object")):
+        unique = {c.rel: c for c in getattr(clues, family)}
         for va in vars:
-            clue = lookup(va.relation)
+            clue = unique.get(va.relation)
             members = tuple(
                 v.id
                 for v in vars
@@ -324,14 +326,37 @@ def random_world(rng):
     return candidates, clues
 
 
+def stacked_clue_world():
+    """One bucket under a type and a uniqueness clue at once, on each slot,
+    and a self-loop pair under `rer(r, r)`: a subject bucket (a, r) under
+    `sr(r, r)` and `ou(r)`, an object bucket (x, r) under `ro(r, r)` and
+    `su(r)`, and the loop c -> c joined with d -> c and c -> e."""
+    candidates = [
+        pair("p1", "a", "x", ["r", "q"]),
+        pair("p2", "a", "y", ["r"]),
+        pair("p3", "b", "x", ["r"]),
+        pair("p4", "c", "c", ["r"]),
+        pair("p5", "d", "c", ["r"]),
+        pair("p6", "c", "e", ["r", "q"]),
+    ]
+    clues = ClueSet(
+        sr=[TypeClue("sr", "q", "r", -4.0, "mined"), TypeClue("sr", "r", "r")],
+        ro=[TypeClue("ro", "r", "r", -3.5, "mined")],
+        rer=[TypeClue("rer", "r", "r")],
+        ou=[UniquenessClue("ou", "r")],
+        su=[UniquenessClue("su", "r")],
+    )
+    return candidates, clues
+
+
 class TestBlocks:
     """`generate_blocks` is the only join; `generate_hard`, `census`,
     `soften` and `dump_constraints` see its blocks as the pairwise rows
     they stand for."""
 
     def test_rows_match_the_naive_join(self, rng):
-        for trial in range(300):
-            candidates, clues = random_world(rng)
+        worlds = [stacked_clue_world(), *(random_world(rng) for _ in range(300))]
+        for trial, (candidates, clues) in enumerate(worlds):
             assert generate_hard(candidates, clues) == naive_join(candidates, clues), trial
 
     def test_census_and_soften_of_blocks_match_rows(self, rng, tmp_path):

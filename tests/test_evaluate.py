@@ -1,3 +1,4 @@
+import itertools
 from collections import defaultdict
 
 import pytest
@@ -24,11 +25,11 @@ from reljoint.evaluate import (
     write_ranked_predictions,
 )
 from reljoint.ilp import build_model, check_assignment, solve
-from reljoint.kb import load_triples
+from reljoint.kb import DataFileError, load_triples
 from reljoint.synth import SynthConfig, generate
 
 from conftest import write_lines
-from test_constraints import random_world
+from test_constraints import random_world, stacked_clue_world
 
 
 def mention(pair_id, mention_id, scores, subject="s", object="o"):
@@ -134,16 +135,18 @@ class TestRuleBased:
         candidates = [pc(f"p{i:04d}", "hub", f"o{i}", {"ra": 0.6, "rb": 0.3}) for i in range(1000)]
         clues = ClueSet(sr=[TypeClue("sr", "ra", "rb")])
         lookups = 0
-        for name in ("sr_clue", "ro_clue", "rer_clue", "ou_clue", "su_clue"):
-            def counted(*args, lookup=getattr(clues, name)):
+
+        class CountedRow(dict):
+            def __contains__(self, rel):
                 nonlocal lookups
                 lookups += 1
-                return lookup(*args)
+                return super().__contains__(rel)
 
-            setattr(clues, name, counted)
+        for slots, rows in clues.joins.items():
+            clues.joins[slots] = {rel: CountedRow(row) for rel, row in rows.items()}
         kept = rule_based(candidates, clues)
         assert len(kept) == 1000 and {p.relation for p in kept} == {"ra"}
-        assert lookups <= 4 * 2000
+        assert 0 < lookups <= 4 * 2000
 
     def test_output_feasible_and_bounded_by_optimum(self, rng):
         subjects = [f"e{i}" for i in range(4)]
@@ -198,8 +201,8 @@ class TestRuleMatchesGenerator:
     """`rule_based` clashes exactly where `generate_hard` writes a row."""
 
     def test_random_worlds(self, rng):
-        for trial in range(1000):
-            world, clues = random_world(rng)
+        worlds = itertools.chain((random_world(rng) for _ in range(1000)), [stacked_clue_world()])
+        for trial, (world, clues) in enumerate(worlds):
             # varied confidences, with ties, so the walk order matters
             candidates = [
                 PairCandidates(
@@ -349,7 +352,13 @@ class TestRankedIo:
         lines = [f"p{i}\ts\tr\to{i}\t{value}" for i, value in enumerate(scores)]
         path = write_lines(tmp_path / "preds.tsv", [lines[i] for i in order])
         message = rf"preds.tsv:{line}: score '{score}' is not a finite number"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(DataFileError, match=message) as err:
+            read_ranked_predictions(path)
+        assert (err.value.path, err.value.line) == (str(path), line)
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        path = write_lines(tmp_path / "preds.tsv", ["p0\ts\tr\to\t0.5", "p1\ts\tr\t0.5"])
+        with pytest.raises(DataFileError, match="preds.tsv:2: expected 5 tab-separated fields"):
             read_ranked_predictions(path)
 
     def test_ranked_from_solution_scores_by_coefficient(self):

@@ -78,6 +78,15 @@ def test_malformed_line_carries_line_number(tmp_path, line):
     assert (err.value.path, err.value.line) == (str(path), 2)
 
 
+@pytest.mark.parametrize(
+    "path, line, text",
+    [("t.tsv", 3, "t.tsv:3: bad"), ("t.tsv", None, "t.tsv: bad"), (None, 3, "<input>:3: bad"),
+     (None, None, "bad")],
+)
+def test_data_file_error_names_what_it_knows(path, line, text):
+    assert str(DataFileError("bad", path, line)) == text
+
+
 def test_unreadable_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_triples(tmp_path / "missing.tsv")
